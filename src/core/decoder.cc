@@ -17,8 +17,9 @@ namespace {
 /// Additive logit for segments outside the constraint set. Finite (rather
 /// than -inf) so that a ground-truth segment that falls outside the mask
 /// (possible with heavy GPS noise) yields a large-but-bounded loss instead of
-/// a numerical blow-up. Must sit well below the smallest allowed weight
-/// log(omega) = -(mask_radius/beta)^2 ~= -44.
+/// a numerical blow-up. Must sit below the smallest allowed weight
+/// log(omega) = -(mask_radius/beta)^2 ~= -44, which the Decoder constructor
+/// checks (mask_radius < ~116 m at beta = 15).
 constexpr float kForbiddenLogit = -60.0f;
 
 /// SplitMix64-style mix of the scheduled-sampling epoch and sample uid into
@@ -31,6 +32,47 @@ uint64_t SamplingSeed(uint64_t epoch, int64_t uid) {
   return z ^ (z >> 31);
 }
 
+/// Running argmax with first-max tie-breaking, seeded with the value at
+/// index 0: a value must be strictly greater than the best so far to replace
+/// it, so the lowest index wins among equal maxima (a strict `>` scan from
+/// v = 0; offering index 0 again changes nothing).
+struct FirstMax {
+  explicit FirstMax(float first) : value(first) {}
+  void Offer(int v, float x) {
+    if (x > value) {
+      index = v;
+      value = x;
+    }
+  }
+  int index = 0;
+  float value;
+};
+
+/// First-max argmax of one dense row of n >= 1 values.
+int ArgmaxRow(const float* row, int n) {
+  FirstMax best(row[0]);
+  for (int v = 1; v < n; ++v) best.Offer(v, row[v]);
+  return best.index;
+}
+
+/// First-max argmax over v in [0, n), n >= 1, of (y[v] + b[v]) + m[v],
+/// where the mask m is `vals[k]` at the ascending `ids[k]` (k < nnz) and
+/// `floor` elsewhere. The float expression and its evaluation order are
+/// those of the dense Add(AddRowBroadcast(y, b), mask), so the index is the
+/// one a scan of the dense logits picks, without ever materialising them.
+int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
+                 const float* vals, int nnz, int n) {
+  FirstMax best((y[0] + b[0]) + (nnz > 0 && ids[0] == 0 ? vals[0] : floor));
+  int v = 0;
+  for (int k = 0; k < nnz; ++k) {
+    for (; v < ids[k]; ++v) best.Offer(v, (y[v] + b[v]) + floor);
+    best.Offer(v, (y[v] + b[v]) + vals[k]);
+    ++v;
+  }
+  for (; v < n; ++v) best.Offer(v, (y[v] + b[v]) + floor);
+  return best.index;
+}
+
 }  // namespace
 
 Decoder::Decoder(const DecoderConfig& config, const ModelContext* ctx)
@@ -41,6 +83,18 @@ Decoder::Decoder(const DecoderConfig& config, const ModelContext* ctx)
       gru_(2 * config.dim + 4, config.dim),
       id_head_(config.dim, ctx->rn->num_segments()),
       rate_head_(2 * config.dim, 1) {
+  // Every allowed hard-mask weight must sit above the forbidden logit, and
+  // the prior must fall off from 0 to a negative floor (the relation that
+  // sizes spatial_prior_radius).
+  const double edge_z = config.mask_radius / config.beta;
+  RNTRAJ_CHECK_MSG(-edge_z * edge_z > kForbiddenLogit,
+                   "decoder: mask_radius " << config.mask_radius
+                       << " m at beta " << config.beta
+                       << " puts allowed segments below the forbidden logit");
+  RNTRAJ_CHECK_MSG(config.spatial_prior_sigma > 0.0f,
+                   "decoder: spatial_prior_sigma must be positive");
+  RNTRAJ_CHECK_MSG(config.spatial_prior_floor < 0.0f,
+                   "decoder: spatial_prior_floor must be negative");
   RegisterChild("seg_emb", &seg_emb_);
   RegisterChild("attn", &attn_);
   RegisterChild("gru", &gru_);
@@ -60,7 +114,6 @@ Decoder::SampleCache Decoder::BuildSampleCache(
   obs::ScopedStage stage(obs::Stage::kConstraintMask);
   SampleCache c;
   const int len = sample.truth.size();
-  const int num_segs = ctx_->rn->num_segments();
   // Dead-reckoned positions per step (from the raw input only).
   std::vector<double> times;
   times.reserve(len);
@@ -113,25 +166,38 @@ Decoder::SampleCache Decoder::BuildSampleCache(
     }
   }
 
-  // Constraint masks at observed steps; soft spatial prior elsewhere.
-  c.masks.reserve(len);
+  // Constraint masks at observed steps; soft spatial prior elsewhere. Each
+  // step stores only its listed segments, in ascending id order, over a
+  // constant floor; a listed prior weight equal to the floor is dropped (it
+  // is the value an unlisted segment gets).
+  SampleCache::SparseMasks& m = c.masks;
+  m.floor.reserve(len);
+  m.offsets.reserve(len + 1);
+  m.offsets.push_back(0);
+  std::vector<std::pair<int, float>> row;
   for (int j = 0; j < len; ++j) {
-    if (observed_pos[j] >= 0) {
-      std::vector<float> mask(num_segs, kForbiddenLogit);
-      for (const auto& ns : near[j]) {
-        const double z = ns.projection.distance / cfg_.beta;
-        mask[ns.seg_id] = static_cast<float>(-z * z);  // log exp(-(d/beta)^2)
-      }
-      c.masks.push_back(Tensor::FromVector({1, num_segs}, mask));
-      continue;
-    }
-    std::vector<float> prior(num_segs, cfg_.spatial_prior_floor);
+    const bool observed = observed_pos[j] >= 0;
+    const float floor = observed ? kForbiddenLogit : cfg_.spatial_prior_floor;
+    row.clear();
     for (const auto& ns : near[j]) {
+      if (observed) {
+        const double z = ns.projection.distance / cfg_.beta;
+        row.push_back({ns.seg_id, static_cast<float>(-z * z)});  // log omega
+        continue;
+      }
       const double z = ns.projection.distance / cfg_.spatial_prior_sigma;
-      prior[ns.seg_id] =
-          std::max(cfg_.spatial_prior_floor, static_cast<float>(-z * z));
+      const float w = std::max(floor, static_cast<float>(-z * z));
+      if (w != floor) row.push_back({ns.seg_id, w});
     }
-    c.masks.push_back(Tensor::FromVector({1, num_segs}, prior));
+    std::sort(row.begin(), row.end());
+    for (size_t k = 0; k < row.size(); ++k) {
+      // Radius queries list each segment once; the fused argmax relies on it.
+      RNTRAJ_CHECK(k == 0 || row[k].first != row[k - 1].first);
+      m.ids.push_back(row[k].first);
+      m.vals.push_back(row[k].second);
+    }
+    m.floor.push_back(floor);
+    m.offsets.push_back(static_cast<int>(m.ids.size()));
   }
 
   const BBox& b = ctx_->rn->bounds();
@@ -231,11 +297,17 @@ Tensor Decoder::StepBatch(const BatchPlan& plan,
 }
 
 Tensor Decoder::MaskStack(const BatchPlan& plan, int active, int j) const {
-  if (active == 1) return plan.caches[0]->masks[j];
-  std::vector<Tensor> rows;
-  rows.reserve(active);
-  for (int p = 0; p < active; ++p) rows.push_back(plan.caches[p]->masks[j]);
-  return ConcatRows(rows);
+  const int num_segs = ctx_->rn->num_segments();
+  Tensor out = Tensor::Zeros({active, num_segs});
+  for (int p = 0; p < active; ++p) {
+    const SampleCache::SparseMasks& m = plan.caches[p]->masks;
+    float* row = out.data().data() + static_cast<size_t>(p) * num_segs;
+    std::fill(row, row + num_segs, m.floor[j]);
+    for (int k = m.offsets[j]; k < m.offsets[j + 1]; ++k) {
+      row[m.ids[k]] = m.vals[k];
+    }
+  }
+  return out;
 }
 
 std::vector<Tensor> Decoder::TrainLossBatch(
@@ -297,14 +369,10 @@ std::vector<Tensor> Decoder::TrainLossBatch(
     std::vector<char> force(active);
     for (int p = 0; p < active; ++p) {
       force[p] = rngs[p].Bernoulli(cfg_.teacher_forcing) ? 1 : 0;
-      int best = targets[p];
-      if (!force[p]) {
-        best = 0;
-        for (int v = 1; v < logits.cols(); ++v) {
-          if (logits.at(p, v) > logits.at(p, best)) best = v;
-        }
-      }
-      fed[p] = best;
+      fed[p] = force[p] ? targets[p]
+                        : ArgmaxRow(logits.data().data() +
+                                        static_cast<size_t>(p) * logits.cols(),
+                                    logits.cols());
     }
     Tensor x_j = seg_emb_.Forward(fed);  // (active, d)
     Tensor r_pred =
@@ -346,6 +414,8 @@ std::vector<MatchedTrajectory> Decoder::DecodeBatch(
   std::vector<SampleCache> scratch;
   BatchPlan plan = BuildBatchPlan(enc_outputs, traj_hs, samples, &scratch);
   obs::ScopedStage stage(obs::Stage::kDecoder);
+  const int num_segs = ctx_->rn->num_segments();
+  const float* bias = id_head_.bias().data().data();
 
   std::vector<MatchedTrajectory> sorted_out(batch);
   for (int p = 0; p < batch; ++p) {
@@ -366,12 +436,17 @@ std::vector<MatchedTrajectory> Decoder::DecodeBatch(
     Tensor r_prev = Tensor::FromVector(
         {active, 1}, std::vector<float>(r_vals.begin(), r_vals.begin() + active));
     h = StepBatch(plan, keys, active, h, x_prev, r_prev, j);
-    Tensor logits = Add(id_head_.Forward(h), MaskStack(plan, active, j));
-    std::vector<int> best(active, 0);
+    // Id head fused with its bias, the sparse mask and the argmax: one GEMM,
+    // then one pass per lane over the raw scores.
+    Tensor scores = Matmul(h, id_head_.weight());  // (active, |V|)
+    std::vector<int> best(active);
     for (int p = 0; p < active; ++p) {
-      for (int v = 1; v < logits.cols(); ++v) {
-        if (logits.at(p, v) > logits.at(p, best[p])) best[p] = v;
-      }
+      const SampleCache::SparseMasks& m = plan.caches[p]->masks;
+      const int begin = m.offsets[j];
+      best[p] = MaskedArgmax(
+          scores.data().data() + static_cast<size_t>(p) * num_segs, bias,
+          m.floor[j], m.ids.data() + begin, m.vals.data() + begin,
+          m.offsets[j + 1] - begin, num_segs);
     }
     Tensor x_j = seg_emb_.Forward(best);
     Tensor r_pred =

@@ -40,7 +40,11 @@ struct DecoderConfig {
   /// decoder learns this spatial plausibility itself; at CPU scale we supply
   /// it as a prior to every method equally (DESIGN.md substitutions).
   float spatial_prior_sigma = 55.0f;
-  double spatial_prior_radius = 350.0;
+  /// Query radius of the prior: sigma * sqrt(-floor) = 55 * 4 m. Wider is
+  /// dead work: a segment at d >= sigma * sqrt(-floor) has -(d/sigma)^2 <=
+  /// floor, so it gets exactly the floor, the same logit as a segment the
+  /// query never lists. Narrower would change answers.
+  double spatial_prior_radius = 220.0;
   float spatial_prior_floor = -16.0f;
 };
 
@@ -114,9 +118,17 @@ class Decoder : public Module {
   /// dataset samples (uid >= 0) and computed into per-call scratch for
   /// ephemeral serving samples (uid < 0).
   struct SampleCache {
-    /// Constraint log-masks plus the soft spatial prior, one (1, |V|) tensor
-    /// per target step.
-    std::vector<Tensor> masks;
+    /// Constraint log-masks plus the soft spatial prior, stored sparsely:
+    /// step j's additive logit is vals[k] for v == ids[k] with k in
+    /// [offsets[j], offsets[j+1]), and floor[j] for every other segment.
+    /// Ids ascend within a step. The floor is kForbiddenLogit at observed
+    /// steps and spatial_prior_floor elsewhere.
+    struct SparseMasks {
+      std::vector<float> floor;  ///< Per step.
+      std::vector<int> offsets;  ///< len + 1 entries into ids/vals.
+      std::vector<int> ids;
+      std::vector<float> vals;
+    } masks;
     /// (len, 3) per-step input features derivable from the raw input alone:
     /// normalised target time plus the linearly interpolated observed
     /// position. At paper scale the decoder learns this dead-reckoning
@@ -173,8 +185,9 @@ class Decoder : public Module {
                    const Tensor& h_prev, const Tensor& x_prev,
                    const Tensor& r_prev, int j) const;
 
-  /// Stacks the step-j constraint masks of the first `active` lanes into one
-  /// (active, |V|) additive-logit tensor.
+  /// Expands the step-j constraint masks of the first `active` lanes into one
+  /// dense (active, |V|) additive-logit tensor (floor fill + scatter); the
+  /// training loss needs every logit for its softmax.
   Tensor MaskStack(const BatchPlan& plan, int active, int j) const;
 
   DecoderConfig cfg_;

@@ -42,6 +42,9 @@ class Linear : public Module {
   /// letting callers apply custom initialisation.
   Tensor weight() const { return weight_; }
 
+  /// The bias row (out); empty when the layer has no bias.
+  const Tensor& bias() const { return bias_; }
+
  private:
   int in_;
   int out_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include "src/common/random.h"
@@ -395,6 +396,138 @@ TEST_F(CoreFixture, DecoderRespectsConstraintMaskAtObservedSteps) {
   for (int j = 1; j < rec.size(); ++j) {
     EXPECT_DOUBLE_EQ(rec.points[j].t - rec.points[j - 1].t, ctx_->eps_rho);
   }
+}
+
+TEST_F(CoreFixture, SpatialPriorRadiusTrimIsExact) {
+  // The default prior radius is where the floored prior turns flat: beyond
+  // sigma * sqrt(-floor) every segment gets exactly the floor, listed or not.
+  const DecoderConfig defaults;
+  EXPECT_EQ(defaults.spatial_prior_radius,
+            defaults.spatial_prior_sigma *
+                std::sqrt(-defaults.spatial_prior_floor));
+
+  // A wider query must therefore give bit-identical decodes and losses, and a
+  // narrower one must not (so the comparison below can see a difference).
+  DecoderConfig dcfg;
+  dcfg.dim = 16;
+  DecoderConfig wide_cfg = dcfg;
+  wide_cfg.spatial_prior_radius = 350.0;
+  DecoderConfig narrow_cfg = dcfg;
+  narrow_cfg.spatial_prior_radius = 150.0;
+  SeedGlobalRng(38);
+  Decoder trimmed(dcfg, ctx_);
+  Decoder wide(wide_cfg, ctx_);
+  Decoder narrow(narrow_cfg, ctx_);
+  wide.LoadStateDict(trimmed.StateDict());
+  narrow.LoadStateDict(trimmed.StateDict());
+
+  auto run = [&](const std::vector<TrajectorySample>& split, size_t n) {
+    std::vector<const TrajectorySample*> ptrs;
+    std::vector<Tensor> enc;
+    std::vector<Tensor> hs;
+    for (size_t i = 0; i < std::min(n, split.size()); ++i) {
+      ptrs.push_back(&split[i]);
+      enc.push_back(Tensor::Randn({split[i].input.size(), 16}, 0.5f));
+      hs.push_back(Tensor::Randn({1, 16}, 0.5f));
+    }
+    return std::make_tuple(ptrs, enc, hs);
+  };
+  const auto [train, train_enc, train_hs] = run(dataset_->train(), 6);
+  const auto [test, test_enc, test_hs] = run(dataset_->test(), 4);
+
+  std::vector<Tensor> base = trimmed.TrainLossBatch(train_enc, train_hs, train);
+  std::vector<Tensor> same = wide.TrainLossBatch(train_enc, train_hs, train);
+  std::vector<Tensor> off = narrow.TrainLossBatch(train_enc, train_hs, train);
+  bool narrow_differs = false;
+  for (size_t i = 0; i < train.size(); ++i) {
+    EXPECT_EQ(base[i].item(), same[i].item()) << "train sample " << i;
+    narrow_differs |= base[i].item() != off[i].item();
+  }
+  EXPECT_TRUE(narrow_differs);
+
+  NoGradGuard guard;
+  std::vector<MatchedTrajectory> a = trimmed.DecodeBatch(test_enc, test_hs, test);
+  std::vector<MatchedTrajectory> b = wide.DecodeBatch(test_enc, test_hs, test);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].size(), b[i].size());
+    for (int j = 0; j < a[i].size(); ++j) {
+      EXPECT_EQ(a[i].points[j].seg_id, b[i].points[j].seg_id)
+          << "test " << i << " step " << j;
+      EXPECT_EQ(a[i].points[j].ratio, b[i].points[j].ratio)
+          << "test " << i << " step " << j;
+    }
+  }
+}
+
+TEST_F(CoreFixture, DecoderIdHeadBiasReachesListedAndFloorSegments) {
+  // The id-head bias starts at zero, so tests on untrained decoders cannot
+  // see whether the fused decode argmax adds it. Spike it instead.
+  SeedGlobalRng(40);
+  DecoderConfig dcfg;
+  dcfg.dim = 16;
+  Decoder dec(dcfg, ctx_);
+  const auto& s = dataset_->test()[0];
+  NoGradGuard guard;
+  Tensor enc = Tensor::Randn({s.input.size(), 16}, 0.5f);
+  Tensor h = Tensor::Randn({1, 16}, 0.5f);
+  Tensor bias;
+  for (const auto& [name, t] : dec.NamedParameters()) {
+    if (name == "id_head.bias") bias = t;
+  }
+  ASSERT_EQ(bias.size(), ctx_->rn->num_segments());
+  std::vector<char> observed(s.truth.size(), 0);
+  for (int j : s.input_indices) observed[j] = 1;
+  const int first_obs = s.input_indices.front();
+
+  // An observed step decodes to a segment its hard mask lists.
+  const int listed =
+      dec.DecodeBatch({enc}, {h}, {&s}).front().points[first_obs].seg_id;
+  // The segment farthest from every observation: unlisted at most steps.
+  int far = 0;
+  double far_d = -1.0;
+  for (int v = 0; v < ctx_->rn->num_segments(); ++v) {
+    double d = std::numeric_limits<double>::max();
+    for (const auto& p : s.input.points) {
+      d = std::min(d, ctx_->rn->Project(p.pos, v).distance);
+    }
+    if (d > far_d) {
+      far = v;
+      far_d = d;
+    }
+  }
+  ASSERT_NE(far, listed);
+
+  // +50 on a floor segment outweighs any prior weight: every unobserved
+  // step picks it.
+  bias.data()[far] = 50.0f;
+  MatchedTrajectory up = dec.DecodeBatch({enc}, {h}, {&s}).front();
+  for (int j = 0; j < up.size(); ++j) {
+    if (!observed[j]) {
+      EXPECT_EQ(up.points[j].seg_id, far) << "step " << j;
+    }
+  }
+  // -50 on the listed segment: no step may pick it any more.
+  bias.data()[far] = 0.0f;
+  bias.data()[listed] = -50.0f;
+  MatchedTrajectory down = dec.DecodeBatch({enc}, {h}, {&s}).front();
+  for (int j = 0; j < down.size(); ++j) {
+    EXPECT_NE(down.points[j].seg_id, listed) << "step " << j;
+  }
+}
+
+TEST_F(CoreFixture, DecoderRejectsMasksItCannotRepresent) {
+  // -(120/15)^2 = -64 sits below the forbidden logit (-60): an allowed
+  // segment would score under a forbidden one.
+  DecoderConfig too_wide;
+  too_wide.mask_radius = 120.0;
+  EXPECT_DEATH(Decoder(too_wide, ctx_), "forbidden logit");
+  DecoderConfig no_sigma;
+  no_sigma.spatial_prior_sigma = 0.0f;
+  EXPECT_DEATH(Decoder(no_sigma, ctx_), "spatial_prior_sigma");
+  DecoderConfig flat_floor;
+  flat_floor.spatial_prior_floor = 0.0f;
+  EXPECT_DEATH(Decoder(flat_floor, ctx_), "spatial_prior_floor");
 }
 
 TEST_F(CoreFixture, RnTrajRecLossIsFiniteAndBackpropagates) {
