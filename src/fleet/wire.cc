@@ -2,8 +2,8 @@
 
 #include <cstring>
 #include <utility>
-#include <vector>
 
+#include "src/common/byte_io.h"
 #include "src/obs/metrics_wire.h"
 
 namespace rntraj {
@@ -16,57 +16,26 @@ bool SetError(std::string* error, const std::string& msg) {
   return false;
 }
 
+/// A failed GetCount consumes nothing, so fewer than 4 bytes left means the
+/// payload ended inside the count field; otherwise the count was out of
+/// bounds.
+bool CountError(const ByteReader& cur, const std::string& payload,
+                const std::string& field, std::string* error) {
+  return SetError(error, cur.remaining() < sizeof(uint32_t)
+                             ? "truncated " + payload + " payload"
+                             : field + " count out of bounds");
+}
+
+/// Header + payload in one buffer.
+std::string Frame(FrameType type, const std::string& body) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + body.size());
+  AppendFrameHeader(&frame, type, body.size());
+  frame.append(body);
+  return frame;
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Primitives
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutI32(std::string* out, int32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutF64(std::string* out, double v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool WireCursor::GetRaw(void* dst, size_t n) {
-  if (!ok_ || n > remaining()) {
-    ok_ = false;
-    return false;
-  }
-  std::memcpy(dst, p_, n);
-  p_ += n;
-  return true;
-}
-
-bool WireCursor::GetString(std::string* v, uint32_t max_len) {
-  uint32_t n = 0;
-  if (!GetU32(&n)) return false;
-  if (n > max_len || n > remaining()) {
-    Fail();
-    return false;
-  }
-  v->assign(p_, n);
-  p_ += n;
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // Frame header
@@ -90,7 +59,7 @@ bool ParseFrameHeader(const char* data, size_t size, FrameHeader* out,
   if (std::memcmp(data, kWireMagic, sizeof(kWireMagic)) != 0) {
     return SetError(error, "bad magic (not a fleet frame)");
   }
-  WireCursor cur(data + sizeof(kWireMagic), size - sizeof(kWireMagic));
+  ByteReader cur(data + sizeof(kWireMagic), size - sizeof(kWireMagic));
   uint32_t version = 0, endian = 0, type = 0;
   uint64_t payload = 0;
   if (!cur.GetU32(&version) || !cur.GetU32(&endian) || !cur.GetU32(&type) ||
@@ -140,19 +109,16 @@ std::string EncodeRequestBody(const serve::RecoveryRequest& req) {
 
 std::string BuildRequestFrame(uint64_t correlation_id,
                               const std::string& encoded_body) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + sizeof(uint64_t) + encoded_body.size());
-  AppendFrameHeader(&frame, FrameType::kRequest,
-                    sizeof(uint64_t) + encoded_body.size());
-  PutU64(&frame, correlation_id);
-  frame.append(encoded_body);
-  return frame;
+  std::string body;
+  PutU64(&body, correlation_id);
+  body.append(encoded_body);
+  return Frame(FrameType::kRequest, body);
 }
 
 bool DecodeRequestPayload(const char* data, size_t size,
                           uint64_t* correlation_id,
                           serve::RecoveryRequest* out, std::string* error) {
-  WireCursor cur(data, size);
+  ByteReader cur(data, size);
   uint64_t id = 0;
   uint32_t layout = 0;
   if (!cur.GetU64(&id) || !cur.GetU32(&layout)) {
@@ -164,12 +130,10 @@ bool DecodeRequestPayload(const char* data, size_t size,
   }
   serve::RecoveryRequest req;  // decode locally: *out untouched on failure
 
+  // 24 bytes per point, 8 per target time, 4 per input index.
   uint32_t n = 0;
-  if (!cur.GetU32(&n)) return SetError(error, "truncated request payload");
-  // 24 bytes per point: reject a count the remaining payload cannot hold
-  // before allocating for it.
-  if (n > kMaxWirePoints || static_cast<size_t>(n) * 24 > cur.remaining()) {
-    return SetError(error, "request point count out of bounds");
+  if (!cur.GetCount(&n, 24, kMaxWirePoints)) {
+    return CountError(cur, "request", "request point", error);
   }
   req.input.points.resize(n);
   for (RawPoint& p : req.input.points) {
@@ -178,16 +142,14 @@ bool DecodeRequestPayload(const char* data, size_t size,
     cur.GetF64(&p.t);
   }
 
-  if (!cur.GetU32(&n)) return SetError(error, "truncated request payload");
-  if (n > kMaxWirePoints || static_cast<size_t>(n) * 8 > cur.remaining()) {
-    return SetError(error, "target time count out of bounds");
+  if (!cur.GetCount(&n, 8, kMaxWirePoints)) {
+    return CountError(cur, "request", "target time", error);
   }
   req.target_times.resize(n);
   for (double& t : req.target_times) cur.GetF64(&t);
 
-  if (!cur.GetU32(&n)) return SetError(error, "truncated request payload");
-  if (n > kMaxWirePoints || static_cast<size_t>(n) * 4 > cur.remaining()) {
-    return SetError(error, "input index count out of bounds");
+  if (!cur.GetCount(&n, 4, kMaxWirePoints)) {
+    return CountError(cur, "request", "input index", error);
   }
   req.input_indices.resize(n);
   for (int& k : req.input_indices) {
@@ -233,18 +195,13 @@ std::string BuildResponseFrame(uint64_t correlation_id,
   PutU64(&body, resp.model_version);
   PutF64(&body, resp.queue_ms);
   PutF64(&body, resp.infer_ms);
-
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  AppendFrameHeader(&frame, FrameType::kResponse, body.size());
-  frame.append(body);
-  return frame;
+  return Frame(FrameType::kResponse, body);
 }
 
 bool DecodeResponsePayload(const char* data, size_t size,
                            uint64_t* correlation_id,
                            serve::RecoveryResponse* out, std::string* error) {
-  WireCursor cur(data, size);
+  ByteReader cur(data, size);
   uint64_t id = 0;
   uint32_t layout = 0;
   if (!cur.GetU64(&id) || !cur.GetU32(&layout)) {
@@ -258,7 +215,7 @@ bool DecodeResponsePayload(const char* data, size_t size,
   uint8_t ok_byte = 0, degraded = 0;
   uint32_t kind_raw = 0;
   if (!cur.GetU8(&ok_byte) || !cur.GetU32(&kind_raw) ||
-      !cur.GetString(&resp.error)) {
+      !cur.GetString(&resp.error, kMaxWireString)) {
     return SetError(error, "truncated response payload");
   }
   if (!serve::ResponseKindFromWire(kind_raw, &resp.kind)) {
@@ -268,11 +225,10 @@ bool DecodeResponsePayload(const char* data, size_t size,
   if (!cur.GetU8(&degraded)) {
     return SetError(error, "truncated response payload");
   }
-  uint32_t n = 0;
-  if (!cur.GetU32(&n)) return SetError(error, "truncated response payload");
   // 20 bytes per matched point (i32 + 2 * f64).
-  if (n > kMaxWirePoints || static_cast<size_t>(n) * 20 > cur.remaining()) {
-    return SetError(error, "response point count out of bounds");
+  uint32_t n = 0;
+  if (!cur.GetCount(&n, 20, kMaxWirePoints)) {
+    return CountError(cur, "response", "response point", error);
   }
   resp.recovered.points.resize(n);
   for (MatchedPoint& p : resp.recovered.points) {
@@ -305,9 +261,7 @@ bool DecodeResponsePayload(const char* data, size_t size,
 // Control frames
 
 std::string BuildMetricsQueryFrame() {
-  std::string frame;
-  AppendFrameHeader(&frame, FrameType::kMetricsQuery, 0);
-  return frame;
+  return Frame(FrameType::kMetricsQuery, "");
 }
 
 std::string BuildMetricsReplyFrame(const obs::MetricsSnapshot& snap) {
@@ -319,11 +273,7 @@ std::string BuildMetricsReplyFrame(const obs::MetricsSnapshot& snap) {
     body.clear();
     obs::EncodeMetricsSnapshot(obs::MetricsSnapshot{}, &body, nullptr);
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  AppendFrameHeader(&frame, FrameType::kMetricsReply, body.size());
-  frame.append(body);
-  return frame;
+  return Frame(FrameType::kMetricsReply, body);
 }
 
 bool DecodeMetricsReplyPayload(const char* data, size_t size,
@@ -335,17 +285,14 @@ bool DecodeMetricsReplyPayload(const char* data, size_t size,
 std::string BuildSwapModelFrame(const std::string& snapshot_path) {
   std::string body;
   PutString(&body, snapshot_path);
-  std::string frame;
-  AppendFrameHeader(&frame, FrameType::kSwapModel, body.size());
-  frame.append(body);
-  return frame;
+  return Frame(FrameType::kSwapModel, body);
 }
 
 bool DecodeSwapModelPayload(const char* data, size_t size,
                             std::string* snapshot_path, std::string* error) {
-  WireCursor cur(data, size);
+  ByteReader cur(data, size);
   std::string path;
-  if (!cur.GetString(&path) || cur.remaining() != 0) {
+  if (!cur.GetString(&path, kMaxWireString) || cur.remaining() != 0) {
     return SetError(error, "malformed swap-model payload");
   }
   *snapshot_path = std::move(path);
@@ -360,20 +307,17 @@ std::string BuildSwapReplyFrame(bool ok, const std::string& message,
   if (msg.size() > kMaxWireString) msg.resize(kMaxWireString);
   PutString(&body, msg);
   PutU64(&body, model_version);
-  std::string frame;
-  AppendFrameHeader(&frame, FrameType::kSwapReply, body.size());
-  frame.append(body);
-  return frame;
+  return Frame(FrameType::kSwapReply, body);
 }
 
 bool DecodeSwapReplyPayload(const char* data, size_t size, bool* ok,
                             std::string* message, uint64_t* model_version,
                             std::string* error) {
-  WireCursor cur(data, size);
+  ByteReader cur(data, size);
   uint8_t ok_byte = 0;
   std::string msg;
   uint64_t version = 0;
-  if (!cur.GetU8(&ok_byte) || !cur.GetString(&msg) ||
+  if (!cur.GetU8(&ok_byte) || !cur.GetString(&msg, kMaxWireString) ||
       !cur.GetU64(&version) || cur.remaining() != 0) {
     return SetError(error, "malformed swap-reply payload");
   }
@@ -383,24 +327,17 @@ bool DecodeSwapReplyPayload(const char* data, size_t size, bool* ok,
   return true;
 }
 
-std::string BuildPingFrame() {
-  std::string frame;
-  AppendFrameHeader(&frame, FrameType::kPing, 0);
-  return frame;
-}
+std::string BuildPingFrame() { return Frame(FrameType::kPing, ""); }
 
 std::string BuildPongFrame(double queue_depth) {
   std::string body;
   PutF64(&body, queue_depth);
-  std::string frame;
-  AppendFrameHeader(&frame, FrameType::kPong, body.size());
-  frame.append(body);
-  return frame;
+  return Frame(FrameType::kPong, body);
 }
 
 bool DecodePongPayload(const char* data, size_t size, double* queue_depth,
                        std::string* error) {
-  WireCursor cur(data, size);
+  ByteReader cur(data, size);
   double depth = 0.0;
   if (!cur.GetF64(&depth) || cur.remaining() != 0) {
     return SetError(error, "malformed pong payload");

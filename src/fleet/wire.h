@@ -19,12 +19,12 @@
 /// multiplexed on the data endpoint), metrics queries, model-swap commands
 /// and liveness pings (synchronous on the control endpoint).
 ///
-/// The decoder side follows the src/snapshot/ discipline: a bounds-checked
-/// latching WireCursor, explicit caps before every allocation, and every
-/// malformed input — truncation at any byte, bad magic/version/endianness,
-/// an oversized length prefix, garbage payload bytes — reported through an
-/// error string and `false`, with outputs untouched. Untrusted bytes never
-/// abort a serving process.
+/// The decoders read through src/common/byte_io.h's ByteReader, so every
+/// untrusted count is checked against its cap and the remaining bytes before
+/// anything is allocated. Every malformed input — truncation at any byte,
+/// bad magic/version/endianness, an oversized length prefix, garbage payload
+/// bytes — is reported through an error string and `false`, with outputs
+/// untouched. Untrusted bytes never abort a serving process.
 
 namespace rntraj {
 namespace fleet {
@@ -57,45 +57,6 @@ enum class FrameType : uint32_t {
 struct FrameHeader {
   FrameType type = FrameType::kRequest;
   uint64_t payload_size = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Append primitives (host byte order; the header's endian tag rejects a
-// foreign-endian peer instead of silently misparsing it).
-
-void PutU8(std::string* out, uint8_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI32(std::string* out, int32_t v);
-void PutF64(std::string* out, double v);
-/// u32 byte count + raw bytes (embedded NULs round-trip).
-void PutString(std::string* out, const std::string& s);
-
-/// Bounds-checked latching reader over an untrusted byte span. Every getter
-/// checks the remaining byte count first; any failure latches, so a decoder
-/// can run a whole section unconditionally and test ok() once at the end.
-class WireCursor {
- public:
-  WireCursor(const char* data, size_t size) : p_(data), end_(data + size) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-  void Fail() { ok_ = false; }
-
-  bool GetU8(uint8_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU32(uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU64(uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetI32(int32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetF64(double* v) { return GetRaw(v, sizeof(*v)); }
-  /// Length-prefixed string, rejected past `max_len` before allocating.
-  bool GetString(std::string* v, uint32_t max_len = kMaxWireString);
-
- private:
-  bool GetRaw(void* dst, size_t n);
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
 };
 
 // ---------------------------------------------------------------------------

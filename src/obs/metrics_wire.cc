@@ -1,10 +1,11 @@
 #include "src/obs/metrics_wire.h"
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "src/common/byte_io.h"
 
 namespace rntraj {
 namespace obs {
@@ -15,66 +16,6 @@ bool SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = "metrics codec: " + msg;
   return false;
 }
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutF64(std::string* out, double v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutName(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked latching reader (the snapshot.cc Cursor pattern): every
-/// getter checks remaining bytes first and latches failure, so a decode can
-/// run a whole section unconditionally and check ok() once.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size) : p_(data), end_(data + size) {}
-
-  bool ok() const { return ok_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-  void Fail() { ok_ = false; }
-
-  bool GetU32(uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetI64(int64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetF64(double* v) { return GetRaw(v, sizeof(*v)); }
-
-  bool GetName(std::string* v) {
-    uint32_t n = 0;
-    if (!GetU32(&n)) return false;
-    if (n > kMaxMetricName || n > remaining()) {
-      Fail();
-      return false;
-    }
-    v->assign(p_, n);
-    p_ += n;
-    return true;
-  }
-
- private:
-  bool GetRaw(void* dst, size_t n) {
-    if (!ok_ || n > remaining()) {
-      ok_ = false;
-      return false;
-    }
-    std::memcpy(dst, p_, n);
-    p_ += n;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
 
 bool EncodeHistogram(const HistogramSnapshot& h, std::string* out,
                      std::string* error) {
@@ -94,16 +35,10 @@ bool EncodeHistogram(const HistogramSnapshot& h, std::string* out,
   return true;
 }
 
-bool DecodeHistogram(Cursor& cur, HistogramSnapshot* out) {
+bool DecodeHistogram(ByteReader& cur, HistogramSnapshot* out) {
+  // An edge is 8 bytes and its count another 8.
   uint32_t num_edges = 0;
-  if (!cur.GetU32(&num_edges)) return false;
-  // An edge is 8 bytes and its count another 8: reject a claimed size the
-  // remaining payload cannot possibly hold before allocating it.
-  if (num_edges > kMaxHistogramEdges ||
-      static_cast<size_t>(num_edges) * 16 > cur.remaining()) {
-    cur.Fail();
-    return false;
-  }
+  if (!cur.GetCount(&num_edges, 16, kMaxHistogramEdges)) return false;
   auto edges = std::make_shared<std::vector<double>>(num_edges);
   for (double& e : *edges) {
     if (!cur.GetF64(&e)) return false;
@@ -132,7 +67,7 @@ bool EncodeMetricsSnapshot(const MetricsSnapshot& snap, std::string* out,
     if (name.size() > kMaxMetricName) {
       return SetError(error, "counter name exceeds cap: " + name);
     }
-    PutName(&body, name);
+    PutString(&body, name);
     PutI64(&body, value);
   }
   PutU32(&body, static_cast<uint32_t>(snap.gauges.size()));
@@ -140,7 +75,7 @@ bool EncodeMetricsSnapshot(const MetricsSnapshot& snap, std::string* out,
     if (name.size() > kMaxMetricName) {
       return SetError(error, "gauge name exceeds cap: " + name);
     }
-    PutName(&body, name);
+    PutString(&body, name);
     PutF64(&body, value);
   }
   PutU32(&body, static_cast<uint32_t>(snap.histograms.size()));
@@ -148,7 +83,7 @@ bool EncodeMetricsSnapshot(const MetricsSnapshot& snap, std::string* out,
     if (name.size() > kMaxMetricName) {
       return SetError(error, "histogram name exceeds cap: " + name);
     }
-    PutName(&body, name);
+    PutString(&body, name);
     if (!EncodeHistogram(hist, &body, error)) return false;
   }
   out->append(body);
@@ -157,39 +92,42 @@ bool EncodeMetricsSnapshot(const MetricsSnapshot& snap, std::string* out,
 
 bool DecodeMetricsSnapshot(const char* data, size_t size,
                            MetricsSnapshot* out, std::string* error) {
-  Cursor cur(data, size);
+  ByteReader cur(data, size);
   MetricsSnapshot snap;  // decode into a local: *out untouched on failure
 
+  // Smallest entries: a counter or gauge is a name length + 8 bytes; a
+  // histogram is a name length, an edge count, one bucket count and
+  // sum/min/max (40 bytes).
   uint32_t n = 0;
-  if (!cur.GetU32(&n) || n > kMaxMetricEntries) {
+  if (!cur.GetCount(&n, 12, kMaxMetricEntries)) {
     return SetError(error, "bad counter count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     int64_t value = 0;
-    if (!cur.GetName(&name) || !cur.GetI64(&value)) {
+    if (!cur.GetString(&name, kMaxMetricName) || !cur.GetI64(&value)) {
       return SetError(error, "truncated counter entry");
     }
     snap.counters[std::move(name)] = value;
   }
-  if (!cur.GetU32(&n) || n > kMaxMetricEntries) {
+  if (!cur.GetCount(&n, 12, kMaxMetricEntries)) {
     return SetError(error, "bad gauge count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     double value = 0.0;
-    if (!cur.GetName(&name) || !cur.GetF64(&value)) {
+    if (!cur.GetString(&name, kMaxMetricName) || !cur.GetF64(&value)) {
       return SetError(error, "truncated gauge entry");
     }
     snap.gauges[std::move(name)] = value;
   }
-  if (!cur.GetU32(&n) || n > kMaxMetricEntries) {
+  if (!cur.GetCount(&n, 40, kMaxMetricEntries)) {
     return SetError(error, "bad histogram count");
   }
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
     HistogramSnapshot hist;
-    if (!cur.GetName(&name) || !DecodeHistogram(cur, &hist)) {
+    if (!cur.GetString(&name, kMaxMetricName) || !DecodeHistogram(cur, &hist)) {
       return SetError(error, "truncated histogram entry");
     }
     snap.histograms[std::move(name)] = std::move(hist);

@@ -14,7 +14,7 @@
 /// aggregate worker snapshots into fleet-level p50/p99 (text exports round
 /// through decimal and cannot be merged losslessly).
 ///
-/// The decoder is bounds-checked in the style of src/snapshot/: every
+/// The decoder reads through src/common/byte_io.h's ByteReader: every
 /// malformed input — truncation, oversized counts, a histogram whose count
 /// array disagrees with its edge array — returns false with a diagnostic in
 /// `*error` and leaves `*out` untouched. Untrusted bytes never abort.

@@ -5,104 +5,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/byte_io.h"
 #include "src/nn/arena.h"
 
 namespace rntraj {
 namespace snapshot {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Little serialisation helpers. The format stores native-endian scalars and
-// stamps kEndianTag in the header; a reader on a foreign-endian machine sees
-// the tag byte-swapped and rejects the file instead of silently loading
-// garbage weights.
-
-void PutU8(std::vector<unsigned char>* out, uint8_t v) { out->push_back(v); }
-
-void PutU32(std::vector<unsigned char>* out, uint32_t v) {
-  const size_t off = out->size();
-  out->resize(off + sizeof(v));
-  std::memcpy(out->data() + off, &v, sizeof(v));
-}
-
-void PutU64(std::vector<unsigned char>* out, uint64_t v) {
-  const size_t off = out->size();
-  out->resize(off + sizeof(v));
-  std::memcpy(out->data() + off, &v, sizeof(v));
-}
-
-void PutI64(std::vector<unsigned char>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutString(std::vector<unsigned char>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-void PutFloats(std::vector<unsigned char>* out, const float* data, size_t n) {
-  const size_t off = out->size();
-  out->resize(off + n * sizeof(float));
-  std::memcpy(out->data() + off, data, n * sizeof(float));
-}
-
-/// Bounds-checked read cursor over an untrusted byte buffer. Every Get*
-/// validates the remaining length; the first failure latches and makes all
-/// subsequent reads fail too, so parse code can check once per section.
-class Cursor {
- public:
-  Cursor(const unsigned char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ok() const { return ok_; }
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
-  bool GetU8(uint8_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU32(uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU64(uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetI64(int64_t* v) { return GetRaw(v, sizeof(*v)); }
-
-  bool GetString(std::string* s, size_t max_len) {
-    uint32_t len = 0;
-    if (!GetU32(&len)) return false;
-    if (len > max_len || len > remaining()) return Fail();
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
-  bool GetFloats(std::vector<float>* out, size_t n) {
-    if (n > remaining() / sizeof(float)) return Fail();
-    out->resize(n);
-    std::memcpy(out->data(), data_ + pos_, n * sizeof(float));
-    pos_ += n * sizeof(float);
-    return true;
-  }
-
-  bool Skip(size_t n) {
-    if (n > remaining()) return Fail();
-    pos_ += n;
-    return true;
-  }
-
- private:
-  bool GetRaw(void* v, size_t n) {
-    if (!ok_ || n > remaining()) return Fail();
-    std::memcpy(v, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool Fail() {
-    ok_ = false;
-    return false;
-  }
-
-  const unsigned char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 bool SetError(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = "snapshot: " + msg;
@@ -117,8 +25,8 @@ constexpr uint32_t kMaxRank = 8;
 // ---------------------------------------------------------------------------
 // Section payload encoders.
 
-std::vector<unsigned char> EncodeStateDict(const StateDict& sd) {
-  std::vector<unsigned char> out;
+std::string EncodeStateDict(const StateDict& sd) {
+  std::string out;
   // Named-parameter table: name, kind, dtype, shape per entry — enough to
   // validate against a live model before touching the data block.
   PutU32(&out, static_cast<uint32_t>(sd.size()));
@@ -137,16 +45,16 @@ std::vector<unsigned char> EncodeStateDict(const StateDict& sd) {
   return out;
 }
 
-std::vector<unsigned char> EncodeRoadRep(const Tensor& x) {
-  std::vector<unsigned char> out;
+std::string EncodeRoadRep(const Tensor& x) {
+  std::string out;
   PutU32(&out, static_cast<uint32_t>(x.rank() >= 1 ? x.shape()[0] : 0));
   PutU32(&out, static_cast<uint32_t>(x.rank() >= 2 ? x.shape()[1] : 1));
   PutFloats(&out, x.data().data(), x.data().size());
   return out;
 }
 
-std::vector<unsigned char> EncodeTrainerState(const TrainerState& ts) {
-  std::vector<unsigned char> out;
+std::string EncodeTrainerState(const TrainerState& ts) {
+  std::string out;
   PutU64(&out, ts.epochs_done);
   PutU64(&out, ts.training_steps);
   PutI64(&out, ts.adam.t);
@@ -157,12 +65,16 @@ std::vector<unsigned char> EncodeTrainerState(const TrainerState& ts) {
 }
 
 // ---------------------------------------------------------------------------
-// Section payload decoders. Each gets its own sub-cursor so a section that
+// Section payload decoders. Each gets its own sub-reader so a section that
 // lies about its payload size cannot read into its neighbour.
 
-bool DecodeStateDict(Cursor* c, StateDict* sd, std::string* error) {
+bool DecodeStateDict(ByteReader* c, StateDict* sd, std::string* error) {
+  // An entry is at least a name length, the buffer and dtype bytes and a
+  // rank: 10 bytes.
   uint32_t count = 0;
-  if (!c->GetU32(&count)) return SetError(error, "truncated state-dict table");
+  if (!c->GetCount(&count, 10)) {
+    return SetError(error, "truncated state-dict table");
+  }
   struct Meta {
     std::string name;
     bool is_buffer;
@@ -225,7 +137,7 @@ bool DecodeStateDict(Cursor* c, StateDict* sd, std::string* error) {
   return true;
 }
 
-bool DecodeRoadRep(Cursor* c, Tensor* out, std::string* error) {
+bool DecodeRoadRep(ByteReader* c, Tensor* out, std::string* error) {
   uint32_t rows = 0;
   uint32_t cols = 0;
   if (!c->GetU32(&rows) || !c->GetU32(&cols)) {
@@ -243,7 +155,7 @@ bool DecodeRoadRep(Cursor* c, Tensor* out, std::string* error) {
   return true;
 }
 
-bool DecodeTrainerState(Cursor* c, TrainerState* ts, std::string* error) {
+bool DecodeTrainerState(ByteReader* c, TrainerState* ts, std::string* error) {
   uint64_t moments = 0;
   if (!c->GetU64(&ts->epochs_done) || !c->GetU64(&ts->training_steps) ||
       !c->GetI64(&ts->adam.t) || !c->GetU64(&moments)) {
@@ -262,7 +174,7 @@ bool WriteSnapshot(const std::string& path, const Snapshot& snap,
                    std::string* error) {
   struct Section {
     uint32_t type;
-    std::vector<unsigned char> payload;
+    std::string payload;
   };
   std::vector<Section> sections;
   sections.push_back({kSectionStateDict, EncodeStateDict(snap.state)});
@@ -273,13 +185,12 @@ bool WriteSnapshot(const std::string& path, const Snapshot& snap,
     sections.push_back({kSectionTrainerState, EncodeTrainerState(snap.trainer)});
   }
   if (!snap.model_name.empty()) {
-    std::vector<unsigned char> meta;
+    std::string meta;
     PutString(&meta, snap.model_name);
     sections.push_back({kSectionMeta, std::move(meta)});
   }
 
-  std::vector<unsigned char> blob;
-  blob.insert(blob.end(), kMagic, kMagic + sizeof(kMagic));
+  std::string blob(kMagic, sizeof(kMagic));
   PutU32(&blob, kFormatVersion);
   PutU32(&blob, kEndianTag);
   PutU32(&blob, static_cast<uint32_t>(sections.size()));
@@ -288,7 +199,7 @@ bool WriteSnapshot(const std::string& path, const Snapshot& snap,
     PutU32(&blob, s.type);
     PutU32(&blob, 0);  // reserved (alignment/flags for future versions)
     PutU64(&blob, s.payload.size());
-    blob.insert(blob.end(), s.payload.begin(), s.payload.end());
+    blob.append(s.payload);
   }
 
   // Atomic publish: a concurrent reader sees either the old file or the
@@ -319,18 +230,16 @@ bool ReadSnapshot(const std::string& path, Snapshot* out, std::string* error) {
     std::fclose(f);
     return SetError(error, "cannot stat '" + path + "'");
   }
-  std::vector<unsigned char> blob(static_cast<size_t>(len));
+  std::string blob(static_cast<size_t>(len), '\0');
   const size_t got = blob.empty() ? 0 : std::fread(blob.data(), 1, blob.size(), f);
   std::fclose(f);
   if (got != blob.size()) return SetError(error, "short read from '" + path + "'");
 
-  Cursor c(blob.data(), blob.size());
+  ByteReader c(blob.data(), blob.size());
   char magic[sizeof(kMagic)];
-  if (!c.Skip(0) || blob.size() < sizeof(kMagic)) {
+  if (!c.GetBytes(magic, sizeof(magic))) {
     return SetError(error, "file too small for header");
   }
-  std::memcpy(magic, blob.data(), sizeof(kMagic));
-  c.Skip(sizeof(kMagic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return SetError(error, "bad magic (not a snapshot file)");
   }
@@ -367,8 +276,8 @@ bool ReadSnapshot(const std::string& path, Snapshot* out, std::string* error) {
                                  " bytes, only " +
                                  std::to_string(c.remaining()) + " remain");
     }
-    Cursor sc(blob.data() + c.pos(), static_cast<size_t>(payload));
-    c.Skip(static_cast<size_t>(payload));
+    ByteReader sc;
+    c.GetSub(static_cast<size_t>(payload), &sc);
     switch (type) {
       case kSectionStateDict:
         if (saw_state_dict) return SetError(error, "duplicate state-dict section");

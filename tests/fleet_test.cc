@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/byte_io.h"
 #include "src/common/random.h"
 #include "src/core/rntrajrec.h"
 #include "src/fleet/process.h"
@@ -360,10 +361,10 @@ TEST(FleetWireRejectionTest, PointCountBeyondPayloadRejectedBeforeAllocation) {
   // Claim 2^20 points with only a handful of payload bytes behind the
   // count: the decoder must reject on the byte bound, not allocate 24 MB.
   std::string payload;
-  fleet::PutU64(&payload, 5);  // correlation id
-  fleet::PutU32(&payload, serve::kRequestWireVersion);
-  fleet::PutU32(&payload, fleet::kMaxWirePoints);
-  fleet::PutF64(&payload, 1.0);
+  PutU64(&payload, 5);  // correlation id
+  PutU32(&payload, serve::kRequestWireVersion);
+  PutU32(&payload, fleet::kMaxWirePoints);
+  PutF64(&payload, 1.0);
   uint64_t id = 0;
   RecoveryRequest out;
   std::string error;
@@ -420,7 +421,7 @@ TEST(FleetWireTest, ControlFramesRoundTrip) {
   }
 }
 
-TEST(FleetWireTest, MetricsSnapshotRoundTripsAndMerges) {
+obs::MetricsSnapshot SampleMetrics() {
   obs::MetricsSnapshot snap;
   snap.counters["serve.ok"] = 12;
   snap.counters["serve.shed"] = 3;
@@ -434,6 +435,12 @@ TEST(FleetWireTest, MetricsSnapshotRoundTripsAndMerges) {
   hist.min = 1.25;
   hist.max = 6.0;
   snap.histograms["serve.latency_ms"] = hist;
+  return snap;
+}
+
+TEST(FleetWireTest, MetricsSnapshotRoundTripsAndMerges) {
+  const obs::MetricsSnapshot snap = SampleMetrics();
+  const obs::HistogramSnapshot& hist = snap.histograms.at("serve.latency_ms");
 
   std::string bytes;
   std::string error;
@@ -482,6 +489,52 @@ TEST(FleetWireTest, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fleet::Fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(fleet::Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fleet::Fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+// ----- Wire protocol: golden bytes ------------------------------------------
+
+// FNV-1a hashes of fixed protocol-version-1 encodings. A round trip cannot
+// see a layout change made the same way on the encoder and the decoder;
+// these hashes can. A mismatch means peers built earlier no longer
+// interoperate: bump kWireVersion / kRequestWireVersion rather than the hash.
+TEST(FleetWireTest, EncodingsMatchGoldenHashes) {
+  struct Golden {
+    std::string name;
+    std::string bytes;
+    uint64_t hash;
+  };
+  std::vector<Golden> goldens = {
+      {"request body", fleet::EncodeRequestBody(SampleRequest()),
+       0xbb516267f99327e6ull},
+      {"metrics reply", fleet::BuildMetricsReplyFrame(SampleMetrics()),
+       0x5b42d67c2efba426ull},
+      {"swap model", fleet::BuildSwapModelFrame("/tmp/weights.snap"),
+       0x9f32253fbdafeb08ull},
+      {"swap reply", fleet::BuildSwapReplyFrame(false, "shape mismatch", 4),
+       0x42945fbe1c8cb4e3ull},
+      {"pong", fleet::BuildPongFrame(17.5), 0xc40ded2f507fb232ull},
+  };
+  // Indexed by ResponseKind.
+  const uint64_t response_hashes[] = {
+      0x6b817b23a05cb9e6ull, 0x937bee6fc98f4776ull, 0x5a0c9b71c1190efaull,
+      0xa9c65fb86609cc74ull, 0xf1ffd1be1cfe533full};
+  for (const ResponseKind kind :
+       {ResponseKind::kOk, ResponseKind::kValidationError,
+        ResponseKind::kDeadlineMissed, ResponseKind::kShed,
+        ResponseKind::kInternalError}) {
+    RecoveryResponse resp = SampleResponse();
+    resp.kind = kind;
+    resp.ok = kind == ResponseKind::kOk;
+    resp.degraded = kind == ResponseKind::kDeadlineMissed;
+    if (!resp.ok) resp.error = "why it failed";
+    goldens.push_back({std::string("response ") + serve::ResponseKindName(kind),
+                       fleet::BuildResponseFrame(99, resp),
+                       response_hashes[static_cast<int>(kind)]});
+  }
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(fleet::Fnv1a64(g.bytes), g.hash)
+        << g.name << ": 0x" << std::hex << fleet::Fnv1a64(g.bytes);
+  }
 }
 
 // ----- Sockets ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "src/common/random.h"
 #include "src/core/rntrajrec.h"
 #include "src/core/trainer.h"
+#include "src/fleet/wire.h"
 #include "src/nn/arena.h"
 #include "src/nn/linear.h"
 #include "src/nn/module.h"
@@ -261,6 +263,32 @@ TEST(SnapshotTest, TrainerAndRoadSectionsRoundTrip) {
   EXPECT_EQ(loaded.trainer.adam.v, snap.trainer.adam.v);
 }
 
+// FNV-1a hash of a fixed format-version-1 file carrying every section. A
+// round trip cannot see a layout change made the same way in the writer and
+// the reader; this hash can. A mismatch means files written earlier no
+// longer load: bump kFormatVersion rather than the hash.
+TEST(SnapshotTest, FileMatchesGoldenHash) {
+  SeedGlobalRng(10);
+  TinyNet net;
+  FillSequential(net.StateDict(), -3.0f);
+  snapshot::Snapshot snap;
+  snap.state = net.StateDict();
+  snap.has_road_rep = true;
+  snap.road_rep = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
+  snap.has_trainer_state = true;
+  snap.trainer.epochs_done = 7;
+  snap.trainer.training_steps = 91;
+  snap.trainer.adam = {5, {0.5f, -0.5f}, {0.25f, 0.125f}};
+  snap.model_name = "tiny";
+  const std::string path = TempPath("snap_golden.bin");
+  std::string err;
+  ASSERT_TRUE(snapshot::WriteSnapshot(path, snap, &err)) << err;
+  const std::vector<char> bytes = ReadFileBytes(path);
+  const uint64_t hash =
+      fleet::Fnv1a64(std::string(bytes.begin(), bytes.end()));
+  EXPECT_EQ(hash, 0x0e6bda7fc5fc1fc1ull) << "0x" << std::hex << hash;
+}
+
 TEST(SnapshotTest, MissingFileIsGraceful) {
   snapshot::Snapshot out;
   std::string err;
@@ -315,6 +343,21 @@ TEST(SnapshotTest, RejectsWrongMagicVersionEndianAndTruncation) {
     err.clear();
     EXPECT_FALSE(snapshot::ReadSnapshot(bad, &out, &err)) << "cut=" << cut;
     EXPECT_FALSE(err.empty()) << "cut=" << cut;
+  }
+  {  // A 44-byte file (header, one state-dict section entry, its entry
+     // count) whose entry count claims 0xFFFFFFFF: rejected before the
+     // parameter table is allocated.
+    std::vector<char> b(bytes.begin(), bytes.begin() + 44);
+    const uint32_t sections = 1;
+    const uint64_t payload = 4;
+    const uint32_t count = 0xFFFFFFFFu;
+    std::memcpy(&b[16], &sections, sizeof(sections));
+    std::memcpy(&b[32], &payload, sizeof(payload));
+    std::memcpy(&b[40], &count, sizeof(count));
+    WriteFileBytes(bad, b);
+    err.clear();
+    EXPECT_FALSE(snapshot::ReadSnapshot(bad, &out, &err));
+    EXPECT_NE(err.find("state-dict table"), std::string::npos) << err;
   }
   {  // Payload-size corruption: grow a section's claimed byte count past the
      // file end.
