@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "src/baselines/zoo.h"
 #include "src/common/random.h"
 #include "src/core/decoder.h"
@@ -12,6 +14,7 @@
 #include "src/mapmatch/hmm.h"
 #include "src/nn/attention.h"
 #include "src/nn/graph.h"
+#include "src/nn/rnn.h"
 #include "src/serve/roadnet_cache.h"
 #include "src/sim/presets.h"
 #include "src/tensor/buffer_pool.h"
@@ -311,6 +314,76 @@ void BM_FusedChain(benchmark::State& state) {
                  ", n=48, d=64");
 }
 BENCHMARK(BM_FusedChain)->Arg(0)->Arg(1);
+
+// The binary elementwise ops, one benchmark per (op, broadcast) pair at the
+// GridGNN grid-GRU shape (270, 24) and the steady-dense GRL shape
+// (12288, 24). Arg0: op (0 add, 1 sub, 2 mul, 3 div); Arg1: b's broadcast
+// (0 same shape, 1 scalar, 2 row (d), 3 column (n,1)); Arg2: rows; Arg3: 1
+// also runs the op's backward into both operands.
+void BM_Binary(benchmark::State& state) {
+  const int op = static_cast<int>(state.range(0));
+  const int bc = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  const bool backward = state.range(3) == 1;
+  const int d = 24;
+  static const char* const kOps[] = {"add", "sub", "mul", "div"};
+  static const char* const kBroadcasts[] = {"same", "scalar", "row", "col"};
+  const std::vector<int> b_shapes[] = {{n, d}, {1}, {d}, {n, 1}};
+  const std::vector<int>& b_shape = b_shapes[bc];
+  SeedGlobalRng(13);
+  Tensor a = Tensor::Randn({n, d}, 1.0f, backward);
+  Tensor b = Tensor::Uniform(b_shape, 0.5f, 2.0f, backward);
+  const auto apply = [op](const Tensor& x, const Tensor& y) {
+    switch (op) {
+      case 0: return Add(x, y);
+      case 1: return Sub(x, y);
+      case 2: return Mul(x, y);
+      default: return Div(x, y);
+    }
+  };
+  std::optional<NoGradGuard> no_grad;
+  if (!backward) no_grad.emplace();
+  BufferPoolScope pool;
+  for (auto _ : state) {
+    Tensor out = apply(a, b);
+    if (backward) {
+      // Seed d(loss)/d(out) and run just this op's backward.
+      TensorImpl& o = *out.impl();
+      o.grad.assign(o.data.size(), 1.0f);
+      o.node->backward(o);
+    }
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{n} * d);
+  state.SetLabel(std::string(kOps[op]) + " " + kBroadcasts[bc] +
+                 (backward ? " fwd+bwd" : " fwd"));
+}
+BENCHMARK(BM_Binary)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3}, {270, 12288}, {0, 1}});
+
+// One GRU cell step, hidden and input width 24, at GridGNN's 270 grid
+// sequences of the Chengdu network and at a decoder batch of 8. Arg0: rows;
+// Arg1: 1 also runs the backward (every parameter and both inputs).
+void BM_GruCell(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const bool backward = state.range(1) == 1;
+  const int d = 24;
+  SeedGlobalRng(14);
+  GruCell cell(d, d);
+  Tensor x = Tensor::Randn({n, d}, 1.0f, backward);
+  Tensor h = Tensor::Randn({n, d}, 0.5f, backward);
+  std::optional<NoGradGuard> no_grad;
+  if (!backward) no_grad.emplace();
+  BufferPoolScope pool;
+  for (auto _ : state) {
+    Tensor out = cell.Forward(x, h);
+    if (backward) SumAll(out).Backward();
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{n});
+  state.SetLabel(backward ? "fwd+bwd" : "fwd");
+}
+BENCHMARK(BM_GruCell)->ArgsProduct({{270, 8}, {0, 1}});
 
 struct World {
   std::unique_ptr<Dataset> ds;

@@ -83,10 +83,8 @@ Tensor GridGnn::GridSequenceEncoding() const {
   Tensor state = Tensor::Zeros({n, cfg_.dim});
   for (size_t step = 0; step < step_cells_.size(); ++step) {
     Tensor g = grid_emb_.Forward(step_cells_[step]);  // (|V|, d)
-    Tensor next = grid_gru_.Forward(g, state);
-    // Freeze finished sequences: masked convex mix keeps their final state.
-    const Tensor& m = step_masks_[step];
-    state = Add(Mul(next, m), Mul(state, AddScalar(Neg(m), 1.0f)));
+    // The step mask freezes finished sequences at their final state.
+    state = grid_gru_.Forward(g, state, step_masks_[step]);
   }
   return state;
 }

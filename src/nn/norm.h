@@ -72,16 +72,8 @@ class GraphNorm : public Module {
     Tensor mu;
     Tensor var;
     if (training()) {
-      // Eq. (8): per-graph mean pooling, stacked to M (num_graphs, d).
-      std::vector<Tensor> means;
-      means.reserve(sizes.size());
-      int off = 0;
-      for (int s : sizes) {
-        means.push_back(ColMean(SliceRows(nodes, off, s)));
-        off += s;
-      }
-      RNTRAJ_CHECK_MSG(off == nodes.dim(0), "GraphNorm: sizes do not cover nodes");
-      Tensor m = ConcatRows(means);
+      // Eq. (8): per-graph mean pooling to M (num_graphs, d).
+      Tensor m = SegmentMeanRows(nodes, sizes);
       mu = ColMean(m);                                       // (d)
       var = ColMean(Square(Sub(nodes, mu)));                 // (d)
       UpdateRunning(mu, var);

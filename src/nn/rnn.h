@@ -5,6 +5,7 @@
 
 #include "src/nn/init.h"
 #include "src/nn/module.h"
+#include "src/tensor/fusion.h"
 #include "src/tensor/ops.h"
 
 /// \file rnn.h
@@ -31,17 +32,18 @@ class GruCell : public Module {
     bias_ = RegisterParameter("bias", Tensor::Zeros({3 * hidden_size}));
   }
 
-  /// One step: x (n, input), h (n, hidden) -> h' (n, hidden).
-  Tensor Forward(const Tensor& x, const Tensor& h) const {
-    Tensor xw = Add(Matmul(x, wx_), bias_);           // (n, 3d)
+  /// One step: x (n, input), h (n, hidden) -> h' (n, hidden). With a
+  /// `row_mask` ((n,1), no grad) row i returns h'_i m_i + h_i (1 - m_i): rows
+  /// at m_i = 0 keep their state (finished sequences in a padded batch).
+  /// Three GEMMs and two fused elementwise kernels (fusion::GruGates and
+  /// fusion::GruOutput).
+  Tensor Forward(const Tensor& x, const Tensor& h,
+                 const Tensor& row_mask = Tensor()) const {
+    Tensor xw = Matmul(x, wx_);                       // (n, 3d)
     Tensor hw = Matmul(h, wh_zr_);                    // (n, 2d)
-    Tensor z = Sigmoid(Add(SliceCols(xw, 0, hidden_), SliceCols(hw, 0, hidden_)));
-    Tensor r = Sigmoid(Add(SliceCols(xw, hidden_, hidden_),
-                           SliceCols(hw, hidden_, hidden_)));
-    Tensor c = Tanh(Add(SliceCols(xw, 2 * hidden_, hidden_),
-                        Matmul(Mul(r, h), wh_c_)));
-    // h' = (1 - z) * h + z * c
-    return Add(Mul(AddScalar(Neg(z), 1.0f), h), Mul(z, c));
+    fusion::GruGateValues gates = fusion::GruGates(xw, bias_, hw, h);
+    Tensor hc = Matmul(gates.rh, wh_c_);              // (n, d)
+    return fusion::GruOutput(gates, xw, bias_, hw, hc, h, row_mask);
   }
 
   int input_size() const { return input_; }

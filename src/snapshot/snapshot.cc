@@ -322,7 +322,8 @@ bool ApplyStateDict(const StateDict& own, const StateDict& loaded,
       auto shape_str = [](const std::vector<int>& shape) {
         std::string txt = "(";
         for (size_t i = 0; i < shape.size(); ++i) {
-          txt += (i ? "," : "") + std::to_string(shape[i]);
+          if (i) txt += ',';
+          txt += std::to_string(shape[i]);
         }
         return txt + ")";
       };

@@ -388,5 +388,212 @@ Tensor ScaleShiftRows(const Tensor& a, const Tensor& gamma,
   return Tensor(out);
 }
 
+namespace {
+
+// Width d of a GRU cell whose input projection xw is (n, 3d); checks that
+// bias, hw and h agree with it.
+int GruWidth(const TensorImpl& xw, const TensorImpl& bias,
+             const TensorImpl& hw, const TensorImpl& h, const char* op) {
+  RNTRAJ_CHECK_MSG(xw.shape.size() == 2 && xw.shape[1] % 3 == 0,
+                   op << ": xw must be (n, 3d)");
+  const int n = xw.shape[0];
+  const int d = xw.shape[1] / 3;
+  RNTRAJ_CHECK_MSG(RowVecLength(bias, op) == 3 * d,
+                   op << ": bias must hold 3d = " << 3 * d << " entries");
+  RNTRAJ_CHECK_MSG(hw.shape == std::vector<int>({n, 2 * d}),
+                   op << ": hw must be (n, 2d)");
+  RNTRAJ_CHECK_MSG(h.shape == std::vector<int>({n, d}),
+                   op << ": h must be (n, d)");
+  return d;
+}
+
+// The GRU blend must round both of its products, as the op chain it replaces
+// does. GCC contracts a product feeding a sum into an FMA at -O2 and above,
+// even across statements; clang contracts only within one expression, so
+// the products are separate statements.
+#if defined(__GNUC__) && !defined(__clang__)
+#define RNTRAJ_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define RNTRAJ_NO_FP_CONTRACT
+#endif
+
+// GruOutput's forward over all rows. `c_stash` (may be null) receives the
+// candidate state c for the backward.
+RNTRAJ_NO_FP_CONTRACT void GruOutputRows(int n, int d, const float* xw,
+                                         const float* bias, const float* zr,
+                                         const float* hc, const float* h,
+                                         const float* mask, float* c_stash,
+                                         float* out) {
+  for (int i = 0; i < n; ++i) {
+    const float* xrow = xw + static_cast<size_t>(i) * 3 * d + 2 * d;
+    const float* zrow = zr + static_cast<size_t>(i) * 2 * d;
+    const size_t off = static_cast<size_t>(i) * d;
+    for (int j = 0; j < d; ++j) {
+      const float c = std::tanh((xrow[j] + bias[2 * d + j]) + hc[off + j]);
+      const float z = zrow[j];
+      const float hp = h[off + j];
+      const float keep = (1.0f - z) * hp;
+      const float take = z * c;
+      float y = keep + take;
+      if (mask) {
+        const float moved = y * mask[i];
+        const float frozen = hp * (1.0f - mask[i]);
+        y = moved + frozen;
+      }
+      out[off + j] = y;
+      if (c_stash) c_stash[off + j] = c;
+    }
+  }
+}
+
+// Accumulates the gradient of a gate pre-activation (xw + bias) + recurrent
+// term into its three summands' grads, each already offset to the gate's
+// columns of the row (null when that summand needs none).
+struct GatePreGrads {
+  float* xw;
+  float* bias;
+  float* recurrent;  // hw for z and r, hc for c
+  void Accumulate(int j, float g) const {
+    if (xw) xw[j] += g;
+    if (bias) bias[j] += g;
+    if (recurrent) recurrent[j] += g;
+  }
+};
+
+}  // namespace
+
+GruGateValues GruGates(const Tensor& xw, const Tensor& bias, const Tensor& hw,
+                       const Tensor& h) {
+  auto xi = xw.impl();
+  auto bi = bias.impl();
+  auto wi = hw.impl();
+  auto hi = h.impl();
+  const int d = GruWidth(*xi, *bi, *wi, *hi, "gru_gates");
+  const int n = xi->shape[0];
+
+  auto zr_all = internal::NewImplUninit({n, 2 * d});
+  auto out = internal::NewImplUninit({n, d});
+  const float* bv = bi->data.data();
+  for (int i = 0; i < n; ++i) {
+    const float* xrow = xi->data.data() + static_cast<size_t>(i) * 3 * d;
+    const float* wrow = wi->data.data() + static_cast<size_t>(i) * 2 * d;
+    const float* hrow = hi->data.data() + static_cast<size_t>(i) * d;
+    float* zr = zr_all->data.data() + static_cast<size_t>(i) * 2 * d;
+    float* rh = out->data.data() + static_cast<size_t>(i) * d;
+    // z and r occupy the first 2d columns of both xw and hw.
+    for (int j = 0; j < 2 * d; ++j) {
+      zr[j] = ActForward((xrow[j] + bv[j]) + wrow[j], Act::kSigmoid, 0.0f);
+    }
+    for (int j = 0; j < d; ++j) rh[j] = zr[d + j] * hrow[j];
+  }
+
+  internal::AttachNode(
+      "gru_gates", out, {xi, bi, wi, hi},
+      [xi, bi, wi, hi, zr_all, n, d](const TensorImpl& o) {
+        const bool need_x = xi->requires_grad;
+        const bool need_b = bi->requires_grad;
+        const bool need_w = wi->requires_grad;
+        const bool need_h = hi->requires_grad;
+        if (need_x) xi->EnsureGrad();
+        if (need_b) bi->EnsureGrad();
+        if (need_w) wi->EnsureGrad();
+        if (need_h) hi->EnsureGrad();
+        for (int i = 0; i < n; ++i) {
+          const size_t off = static_cast<size_t>(i) * d;
+          const float* g = o.grad.data() + off;
+          const float* hrow = hi->data.data() + off;
+          const float* r = zr_all->data.data() + 2 * off + d;
+          const GatePreGrads pre{
+              need_x ? xi->grad.data() + 3 * off + d : nullptr,
+              need_b ? bi->grad.data() + d : nullptr,
+              need_w ? wi->grad.data() + 2 * off + d : nullptr};
+          for (int j = 0; j < d; ++j) {
+            if (need_h) hi->grad[off + j] += g[j] * r[j];
+            pre.Accumulate(
+                j, g[j] * hrow[j] * ActBackward(r[j], Act::kSigmoid, 0.0f));
+          }
+        }
+      });
+  return {Tensor(out), Tensor(zr_all)};
+}
+
+Tensor GruOutput(const GruGateValues& gates, const Tensor& xw,
+                 const Tensor& bias, const Tensor& hw, const Tensor& hc,
+                 const Tensor& h, const Tensor& row_mask) {
+  auto xi = xw.impl();
+  auto bi = bias.impl();
+  auto wi = hw.impl();
+  auto ci = hc.impl();
+  auto hi = h.impl();
+  auto gi = gates.zr.impl();
+  const int d = GruWidth(*xi, *bi, *wi, *hi, "gru_output");
+  const int n = xi->shape[0];
+  RNTRAJ_CHECK_MSG(ci->shape == hi->shape, "gru_output: hc must be (n, d)");
+  RNTRAJ_CHECK_MSG(gi->shape == wi->shape,
+                   "gru_output: gates do not match this cell");
+  std::shared_ptr<TensorImpl> mi;
+  if (row_mask.defined()) {
+    mi = row_mask.impl();
+    RNTRAJ_CHECK_MSG(!mi->requires_grad,
+                     "gru_output: mask must not require grad");
+    RNTRAJ_CHECK_MSG(static_cast<int>(mi->data.size()) == n,
+                     "gru_output: need one mask entry per row");
+  }
+
+  const bool rec =
+      GradModeEnabled() && internal::AnyRequiresGrad({xi, bi, wi, ci, hi});
+  auto c_stash = rec ? internal::NewImplUninit({n, d}) : nullptr;
+  auto out = internal::NewImplUninit({n, d});
+  GruOutputRows(n, d, xi->data.data(), bi->data.data(), gi->data.data(),
+                ci->data.data(), hi->data.data(),
+                mi ? mi->data.data() : nullptr,
+                c_stash ? c_stash->data.data() : nullptr, out->data.data());
+
+  internal::AttachNode(
+      "gru_output", out, {xi, bi, wi, ci, hi},
+      [xi, bi, wi, ci, hi, gi, mi, c_stash, n, d](const TensorImpl& o) {
+        const bool need_x = xi->requires_grad;
+        const bool need_b = bi->requires_grad;
+        const bool need_w = wi->requires_grad;
+        const bool need_c = ci->requires_grad;
+        const bool need_h = hi->requires_grad;
+        if (need_x) xi->EnsureGrad();
+        if (need_b) bi->EnsureGrad();
+        if (need_w) wi->EnsureGrad();
+        if (need_c) ci->EnsureGrad();
+        if (need_h) hi->EnsureGrad();
+        for (int i = 0; i < n; ++i) {
+          const size_t off = static_cast<size_t>(i) * d;
+          const float* g = o.grad.data() + off;
+          const float m = mi ? mi->data[i] : 1.0f;
+          // A frozen row passes its gradient straight to h.
+          if (need_h && m != 1.0f) {
+            for (int j = 0; j < d; ++j) hi->grad[off + j] += g[j] * (1.0f - m);
+          }
+          if (m == 0.0f) continue;
+          const float* z = gi->data.data() + 2 * off;
+          const float* c = c_stash->data.data() + off;
+          const float* hrow = hi->data.data() + off;
+          const GatePreGrads pre_z{
+              need_x ? xi->grad.data() + 3 * off : nullptr,
+              need_b ? bi->grad.data() : nullptr,
+              need_w ? wi->grad.data() + 2 * off : nullptr};
+          const GatePreGrads pre_c{
+              need_x ? xi->grad.data() + 3 * off + 2 * d : nullptr,
+              need_b ? bi->grad.data() + 2 * d : nullptr,
+              need_c ? ci->grad.data() + off : nullptr};
+          for (int j = 0; j < d; ++j) {
+            const float gn = g[j] * m;
+            if (need_h) hi->grad[off + j] += gn * (1.0f - z[j]);
+            pre_z.Accumulate(j, gn * (c[j] - hrow[j]) *
+                                    ActBackward(z[j], Act::kSigmoid, 0.0f));
+            pre_c.Accumulate(j,
+                             gn * z[j] * ActBackward(c[j], Act::kTanh, 0.0f));
+          }
+        }
+      });
+  return Tensor(out);
+}
+
 }  // namespace fusion
 }  // namespace rntraj

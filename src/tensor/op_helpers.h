@@ -57,6 +57,18 @@ inline void AttachNode(const char* op, const std::shared_ptr<TensorImpl>& out,
   out->node = std::move(node);
 }
 
+/// acc + x * y, rounded once where the target has FMA. At -O2 and above GCC
+/// usually contracts `acc += x * y` into an FMA, but not always (some tunings
+/// keep tight register accumulation chains unfused), so kernels whose
+/// rounding must not depend on how a loop is written spell it out here.
+inline float MulAdd(float x, float y, float acc) {
+#ifdef __FP_FAST_FMAF
+  return __builtin_fmaf(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
 /// Broadcast pattern for binary elementwise ops.
 enum class Broadcast { kSame, kScalar, kRow, kCol };
 

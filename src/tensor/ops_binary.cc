@@ -27,86 +27,189 @@ Broadcast ClassifyBroadcast(const TensorImpl& a, const TensorImpl& b,
 
 namespace {
 
-// Maps the flat index of `a` to the flat index of broadcast `b`.
-inline size_t BIndex(Broadcast bc, size_t i, int d) {
-  switch (bc) {
-    case Broadcast::kSame:
-      return i;
-    case Broadcast::kScalar:
-      return 0;
-    case Broadcast::kRow:
-      return i % static_cast<size_t>(d);
-    case Broadcast::kCol:
-      return i / static_cast<size_t>(d);
-  }
-  return 0;
-}
-
+// One kernel per (op, broadcast) pair: the op is a template parameter and
+// each broadcast is its own loop nest over raw pointers, so the inner loops
+// carry no switch, modulo or division and vectorise. Every element of the
+// forward and of both gradients is computed with the same expression, and
+// every broadcast gradient entry gb[j] receives its terms in increasing
+// flat-index order, as the straightforward per-element loop over `a` does.
 enum class BinOp { kAdd, kSub, kMul, kDiv };
 
-Tensor Binary(BinOp kind, const char* name, const Tensor& a, const Tensor& b) {
+template <BinOp K>
+inline float Apply(float a, float b) {
+  if constexpr (K == BinOp::kAdd) {
+    return a + b;
+  } else if constexpr (K == BinOp::kSub) {
+    return a - b;
+  } else if constexpr (K == BinOp::kMul) {
+    return a * b;
+  } else {
+    return a / b;
+  }
+}
+
+// d(out)/d(a) contribution of upstream gradient g, added into acc (Mul and
+// Div only: Add and Sub pass g straight through).
+template <BinOp K>
+inline float AccumA(float acc, float g, float b) {
+  if constexpr (K == BinOp::kMul) {
+    return MulAdd(g, b, acc);
+  } else {
+    return acc + g / b;
+  }
+}
+
+// d(out)/d(b) contribution of upstream gradient g, added into acc.
+template <BinOp K>
+inline float AccumB(float acc, float g, float a, float b) {
+  if constexpr (K == BinOp::kAdd) {
+    return acc + g;
+  } else if constexpr (K == BinOp::kSub) {
+    return acc - g;
+  } else if constexpr (K == BinOp::kMul) {
+    return MulAdd(g, a, acc);
+  } else {
+    return acc + -g * a / (b * b);
+  }
+}
+
+// Shape of the loop nest: `rows` x `d` for the row/column broadcasts, a flat
+// run of `size` elements for same-shape and scalar.
+struct Extent {
+  size_t size;
+  int rows;
+  int d;
+};
+
+template <BinOp K>
+void ForwardKernel(Broadcast bc, Extent e, const float* __restrict a,
+                   const float* __restrict b, float* __restrict out) {
+  switch (bc) {
+    case Broadcast::kSame:
+      for (size_t i = 0; i < e.size; ++i) out[i] = Apply<K>(a[i], b[i]);
+      break;
+    case Broadcast::kScalar: {
+      const float bv = b[0];
+      for (size_t i = 0; i < e.size; ++i) out[i] = Apply<K>(a[i], bv);
+      break;
+    }
+    case Broadcast::kRow:
+      for (int r = 0; r < e.rows; ++r) {
+        const size_t off = static_cast<size_t>(r) * e.d;
+        for (int j = 0; j < e.d; ++j) out[off + j] = Apply<K>(a[off + j], b[j]);
+      }
+      break;
+    case Broadcast::kCol:
+      for (int r = 0; r < e.rows; ++r) {
+        const size_t off = static_cast<size_t>(r) * e.d;
+        const float bv = b[r];
+        for (int j = 0; j < e.d; ++j) out[off + j] = Apply<K>(a[off + j], bv);
+      }
+      break;
+  }
+}
+
+template <BinOp K>
+void GradAKernel(Broadcast bc, Extent e, const float* __restrict g,
+                 const float* __restrict b, float* __restrict ga) {
+  if constexpr (K == BinOp::kAdd || K == BinOp::kSub) {
+    for (size_t i = 0; i < e.size; ++i) ga[i] += g[i];
+  } else {
+    switch (bc) {
+      case Broadcast::kSame:
+        for (size_t i = 0; i < e.size; ++i) {
+          ga[i] = AccumA<K>(ga[i], g[i], b[i]);
+        }
+        break;
+      case Broadcast::kScalar: {
+        const float bv = b[0];
+        for (size_t i = 0; i < e.size; ++i) ga[i] = AccumA<K>(ga[i], g[i], bv);
+        break;
+      }
+      case Broadcast::kRow:
+        for (int r = 0; r < e.rows; ++r) {
+          const size_t off = static_cast<size_t>(r) * e.d;
+          for (int j = 0; j < e.d; ++j) {
+            ga[off + j] = AccumA<K>(ga[off + j], g[off + j], b[j]);
+          }
+        }
+        break;
+      case Broadcast::kCol:
+        for (int r = 0; r < e.rows; ++r) {
+          const size_t off = static_cast<size_t>(r) * e.d;
+          const float bv = b[r];
+          for (int j = 0; j < e.d; ++j) {
+            ga[off + j] = AccumA<K>(ga[off + j], g[off + j], bv);
+          }
+        }
+        break;
+    }
+  }
+}
+
+// `a` and `b` may be the same buffer (Mul(x, x)); only the gradient buffer
+// is written.
+template <BinOp K>
+void GradBKernel(Broadcast bc, Extent e, const float* __restrict g,
+                 const float* a, const float* b, float* __restrict gb) {
+  switch (bc) {
+    case Broadcast::kSame:
+      for (size_t i = 0; i < e.size; ++i) {
+        gb[i] = AccumB<K>(gb[i], g[i], a[i], b[i]);
+      }
+      break;
+    case Broadcast::kScalar: {
+      const float bv = b[0];
+      float acc = gb[0];
+      for (size_t i = 0; i < e.size; ++i) acc = AccumB<K>(acc, g[i], a[i], bv);
+      gb[0] = acc;
+      break;
+    }
+    case Broadcast::kRow:
+      for (int r = 0; r < e.rows; ++r) {
+        const size_t off = static_cast<size_t>(r) * e.d;
+        for (int j = 0; j < e.d; ++j) {
+          gb[j] = AccumB<K>(gb[j], g[off + j], a[off + j], b[j]);
+        }
+      }
+      break;
+    case Broadcast::kCol:
+      for (int r = 0; r < e.rows; ++r) {
+        const size_t off = static_cast<size_t>(r) * e.d;
+        const float bv = b[r];
+        float acc = gb[r];
+        for (int j = 0; j < e.d; ++j) {
+          acc = AccumB<K>(acc, g[off + j], a[off + j], bv);
+        }
+        gb[r] = acc;
+      }
+      break;
+  }
+}
+
+template <BinOp K>
+Tensor Binary(const char* name, const Tensor& a, const Tensor& b) {
   auto ai = a.impl();
   auto bi = b.impl();
   const Broadcast bc = ClassifyBroadcast(*ai, *bi, name);
-  const int d = ai->shape.size() == 2 ? ai->shape[1] : 1;
+  const bool nested = bc == Broadcast::kRow || bc == Broadcast::kCol;
+  const Extent e{ai->data.size(), nested ? ai->shape[0] : 0,
+                 nested ? ai->shape[1] : 0};
 
   auto out = NewImplUninit(ai->shape);
-  const size_t n = ai->data.size();
-  for (size_t i = 0; i < n; ++i) {
-    const float av = ai->data[i];
-    const float bv = bi->data[BIndex(bc, i, d)];
-    float r = 0.0f;
-    switch (kind) {
-      case BinOp::kAdd: r = av + bv; break;
-      case BinOp::kSub: r = av - bv; break;
-      case BinOp::kMul: r = av * bv; break;
-      case BinOp::kDiv: r = av / bv; break;
-    }
-    out->data[i] = r;
-  }
+  ForwardKernel<K>(bc, e, ai->data.data(), bi->data.data(), out->data.data());
 
-  AttachNode(name, out, {ai, bi}, [kind, bc, d, ai, bi](const TensorImpl& o) {
-    const size_t n = o.data.size();
+  AttachNode(name, out, {ai, bi}, [bc, e, ai, bi](const TensorImpl& o) {
+    // The a-gradient pass completes before the b-gradient pass starts, so an
+    // aliased Mul(x, x) accumulates both terms in that order.
     if (ai->requires_grad) {
       ai->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) {
-        const float g = o.grad[i];
-        switch (kind) {
-          case BinOp::kAdd:
-          case BinOp::kSub:
-            ai->grad[i] += g;
-            break;
-          case BinOp::kMul:
-            ai->grad[i] += g * bi->data[BIndex(bc, i, d)];
-            break;
-          case BinOp::kDiv:
-            ai->grad[i] += g / bi->data[BIndex(bc, i, d)];
-            break;
-        }
-      }
+      GradAKernel<K>(bc, e, o.grad.data(), bi->data.data(), ai->grad.data());
     }
     if (bi->requires_grad) {
       bi->EnsureGrad();
-      for (size_t i = 0; i < n; ++i) {
-        const float g = o.grad[i];
-        const size_t j = BIndex(bc, i, d);
-        switch (kind) {
-          case BinOp::kAdd:
-            bi->grad[j] += g;
-            break;
-          case BinOp::kSub:
-            bi->grad[j] -= g;
-            break;
-          case BinOp::kMul:
-            bi->grad[j] += g * ai->data[i];
-            break;
-          case BinOp::kDiv: {
-            const float bv = bi->data[j];
-            bi->grad[j] += -g * ai->data[i] / (bv * bv);
-            break;
-          }
-        }
-      }
+      GradBKernel<K>(bc, e, o.grad.data(), ai->data.data(), bi->data.data(),
+                     bi->grad.data());
     }
   });
   return Tensor(out);
@@ -116,16 +219,16 @@ Tensor Binary(BinOp kind, const char* name, const Tensor& a, const Tensor& b) {
 }  // namespace internal
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return internal::Binary(internal::BinOp::kAdd, "add", a, b);
+  return internal::Binary<internal::BinOp::kAdd>("add", a, b);
 }
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return internal::Binary(internal::BinOp::kSub, "sub", a, b);
+  return internal::Binary<internal::BinOp::kSub>("sub", a, b);
 }
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return internal::Binary(internal::BinOp::kMul, "mul", a, b);
+  return internal::Binary<internal::BinOp::kMul>("mul", a, b);
 }
 Tensor Div(const Tensor& a, const Tensor& b) {
-  return internal::Binary(internal::BinOp::kDiv, "div", a, b);
+  return internal::Binary<internal::BinOp::kDiv>("div", a, b);
 }
 
 Tensor AddScalar(const Tensor& a, float s) {

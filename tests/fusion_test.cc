@@ -168,6 +168,38 @@ TEST(FusionGradCheck, ScaleShiftRows) {
 
 // ---------------------------------------------- fused == generic op chain
 
+// The fused GRU cell: both kernels and the three GEMMs between them, with
+// every input requiring grad, with and without a freeze mask that has both
+// frozen and live rows.
+Tensor FusedGruStep(const Tensor& x, const Tensor& h, const Tensor& wx,
+                    const Tensor& wzr, const Tensor& wc, const Tensor& bias,
+                    const Tensor& mask) {
+  Tensor xw = Matmul(x, wx);
+  Tensor hw = Matmul(h, wzr);
+  fusion::GruGateValues gates = fusion::GruGates(xw, bias, hw, h);
+  return fusion::GruOutput(gates, xw, bias, hw, Matmul(gates.rh, wc), h, mask);
+}
+
+TEST(FusionGradCheck, GruCell) {
+  SeedGlobalRng(810);
+  Tensor x = Tensor::Randn({3, 2}, 1.0f, true);
+  Tensor h = Tensor::Randn({3, 4}, 0.5f, true);
+  Tensor wx = Tensor::Randn({2, 12}, 0.5f, true);
+  Tensor wzr = Tensor::Randn({4, 8}, 0.5f, true);
+  Tensor wc = Tensor::Randn({4, 4}, 0.5f, true);
+  Tensor bias = Tensor::Randn({12}, 0.5f, true);
+  const Tensor mask = Tensor::FromVector({3, 1}, {1.0f, 0.0f, 1.0f});
+  for (const Tensor& m : {Tensor(), mask}) {
+    EXPECT_LT(MaxGradError(
+                  [&] {
+                    return SmoothLoss(FusedGruStep(x, h, wx, wzr, wc, bias, m));
+                  },
+                  {x, h, wx, wzr, wc, bias}),
+              kTol)
+        << (m.defined() ? "masked" : "unmasked");
+  }
+}
+
 // Each fused kernel against the generic op chain it replaces, spelled out
 // op by op. The softmax shares the exact kernel pipeline, so it is
 // bit-identical; the rest agree within FMA/accumulation-order rounding
@@ -225,6 +257,42 @@ TEST(FusionEquivalence, ScaleLengthMaskedSoftmaxBitIdenticalToChain) {
   Tensor fused = fusion::ScaleLengthMaskedSoftmax(x, 0.3f, valid);
   for (size_t i = 0; i < chain.data().size(); ++i) {
     EXPECT_EQ(chain.data()[i], fused.data()[i]) << "at " << i;
+  }
+}
+
+// The fused GRU cell against the op chain GruCell::Forward used to record
+// (and GridGNN's freeze blend after it): bit for bit, masked and unmasked,
+// at a vector-tail width.
+TEST(FusionEquivalence, GruCellBitIdenticalToChain) {
+  SeedGlobalRng(822);
+  NoGradGuard guard;
+  const int n = 6;
+  const int d = 11;
+  Tensor x = Tensor::Randn({n, 5}, 1.0f);
+  Tensor h = Tensor::Randn({n, d}, 0.7f);
+  Tensor wx = Tensor::Randn({5, 3 * d}, 0.6f);
+  Tensor wzr = Tensor::Randn({d, 2 * d}, 0.6f);
+  Tensor wc = Tensor::Randn({d, d}, 0.6f);
+  Tensor bias = Tensor::Randn({3 * d}, 0.5f);
+  Tensor mask = Tensor::FromVector({n, 1}, {1, 0, 1, 1, 0, 1});
+
+  Tensor xw = Add(Matmul(x, wx), bias);
+  Tensor hw = Matmul(h, wzr);
+  Tensor z = Sigmoid(Add(SliceCols(xw, 0, d), SliceCols(hw, 0, d)));
+  Tensor r = Sigmoid(Add(SliceCols(xw, d, d), SliceCols(hw, d, d)));
+  Tensor c = Tanh(Add(SliceCols(xw, 2 * d, d), Matmul(Mul(r, h), wc)));
+  Tensor chain = Add(Mul(AddScalar(Neg(z), 1.0f), h), Mul(z, c));
+  Tensor chain_masked =
+      Add(Mul(chain, mask), Mul(h, AddScalar(Neg(mask), 1.0f)));
+
+  const std::pair<Tensor, Tensor> pairs[] = {
+      {FusedGruStep(x, h, wx, wzr, wc, bias, Tensor()), chain},
+      {FusedGruStep(x, h, wx, wzr, wc, bias, mask), chain_masked}};
+  for (const auto& [fused, want] : pairs) {
+    ASSERT_EQ(fused.shape(), want.shape());
+    for (size_t i = 0; i < want.data().size(); ++i) {
+      EXPECT_EQ(want.data()[i], fused.data()[i]) << "at " << i;
+    }
   }
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+
 #include "src/common/random.h"
 #include "src/nn/attention.h"
 #include "src/nn/graph.h"
@@ -101,6 +106,64 @@ TEST(GruCellTest, GradCheck) {
   Tensor h = Tensor::Randn({2, 3}, 0.5f);
   auto loss = [&] { return MeanAll(Square(cell.Forward(x, h))); };
   EXPECT_LT(MaxGradError(loss, cell.Parameters()), kTol);
+}
+
+// Op names of every tape node behind `t`, with their counts.
+std::map<std::string, int> TapeOps(const Tensor& t) {
+  std::map<std::string, int> ops;
+  std::set<const GradNode*> seen;
+  std::vector<std::shared_ptr<TensorImpl>> stack = {t.impl()};
+  while (!stack.empty()) {
+    auto impl = stack.back();
+    stack.pop_back();
+    const GradNode* node = impl->node.get();
+    if (node == nullptr || !seen.insert(node).second) continue;
+    ++ops[node->op];
+    for (const auto& in : node->inputs) stack.push_back(in);
+  }
+  return ops;
+}
+
+// A GRU step records its three GEMMs and two fused elementwise kernels, with
+// or without the freeze mask: no slices, no per-gate activations.
+TEST(GruCellTest, RecordsThreeGemmsAndTwoFusedKernels) {
+  SeedGlobalRng(9);
+  GruCell cell(3, 4);
+  Tensor x = Tensor::Randn({5, 3}, 1.0f);
+  Tensor h = Tensor::Randn({5, 4}, 0.5f);
+  Tensor mask = Tensor::FromVector({5, 1}, {1, 1, 0, 1, 0});
+  const std::map<std::string, int> want = {
+      {"matmul", 3}, {"gru_gates", 1}, {"gru_output", 1}};
+  EXPECT_EQ(TapeOps(cell.Forward(x, h)), want);
+  EXPECT_EQ(TapeOps(cell.Forward(x, h, mask)), want);
+}
+
+// Rows whose mask is 0 keep their state exactly.
+TEST(GruCellTest, MaskFreezesRows) {
+  SeedGlobalRng(10);
+  GruCell cell(3, 4);
+  Tensor x = Tensor::Randn({3, 3}, 1.0f);
+  Tensor h = Tensor::Randn({3, 4}, 0.5f);
+  Tensor h1 = cell.Forward(x, h, Tensor::FromVector({3, 1}, {1, 0, 1}));
+  Tensor free = cell.Forward(x, h);
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(h1.at(1, j), h.at(1, j));
+    EXPECT_EQ(h1.at(0, j), free.at(0, j));
+    EXPECT_EQ(h1.at(2, j), free.at(2, j));
+  }
+}
+
+TEST(GruCellTest, MaskedGradCheck) {
+  SeedGlobalRng(11);
+  GruCell cell(2, 3);
+  Tensor x = Tensor::Randn({3, 2}, 1.0f, true);
+  Tensor h = Tensor::Randn({3, 3}, 0.5f, true);
+  Tensor mask = Tensor::FromVector({3, 1}, {0, 1, 1});
+  auto loss = [&] { return MeanAll(Square(cell.Forward(x, h, mask))); };
+  std::vector<Tensor> params = cell.Parameters();
+  params.push_back(x);
+  params.push_back(h);
+  EXPECT_LT(MaxGradError(loss, params), kTol);
 }
 
 TEST(GruSequenceTest, OutputsOneRowPerStep) {
@@ -282,6 +345,55 @@ TEST(GraphNormTest, GradCheck) {
   Tensor x = Tensor::Randn({6, 3}, 1.0f, true);
   Tensor w = Tensor::Randn({3, 1}, 1.0f);
   auto loss = [&] { return MeanAll(Square(Matmul(gn.Forward(x, {2, 4}), w))); };
+  std::vector<Tensor> params = gn.Parameters();
+  params.push_back(x);
+  EXPECT_LT(MaxGradError(loss, params), kTol);
+}
+
+// Training-mode pooling (Eq. (8)) is one SegmentMeanRows; it must equal the
+// per-sub-graph ColMean(SliceRows) + ConcatRows it replaced bit for bit, so
+// the whole training-mode output does too.
+TEST(GraphNormTest, SegmentPoolingMatchesPerGraphColMeanBitForBit) {
+  SeedGlobalRng(19);
+  NoGradGuard guard;
+  const int d = 5;
+  const std::vector<int> sizes = {3, 1, 7, 4};
+  Tensor nodes = Tensor::Randn({15, d}, 2.0f);
+  std::vector<Tensor> means;
+  int off = 0;
+  for (int s : sizes) {
+    means.push_back(ColMean(SliceRows(nodes, off, s)));
+    off += s;
+  }
+  Tensor loop = ConcatRows(means);
+  Tensor pooled = SegmentMeanRows(nodes, sizes);
+  ASSERT_EQ(pooled.shape(), loop.shape());
+  for (size_t i = 0; i < loop.data().size(); ++i) {
+    EXPECT_EQ(loop.data()[i], pooled.data()[i]) << "at " << i;
+  }
+
+  // The full training-mode forward, with the old pooling spelled out.
+  GraphNorm gn(d);
+  gn.SetTraining(true);
+  Tensor y = gn.Forward(nodes, sizes);
+  Tensor mu = ColMean(loop);
+  Tensor var = ColMean(Square(Sub(nodes, mu)));
+  Tensor norm = Div(Sub(nodes, mu), Sqrt(AddScalar(var, 1e-5f)));
+  Tensor want = Add(Mul(norm, Tensor::Full({d}, 1.0f)), Tensor::Zeros({d}));
+  for (size_t i = 0; i < want.data().size(); ++i) {
+    EXPECT_EQ(want.data()[i], y.data()[i]) << "at " << i;
+  }
+}
+
+TEST(GraphNormTest, TrainingModeGradCheck) {
+  SeedGlobalRng(20);
+  GraphNorm gn(3);
+  gn.SetTraining(true);
+  Tensor x = Tensor::Randn({7, 3}, 1.0f, true);
+  Tensor w = Tensor::Randn({3, 1}, 1.0f);
+  auto loss = [&] {
+    return MeanAll(Square(Matmul(gn.Forward(x, {2, 1, 4}), w)));
+  };
   std::vector<Tensor> params = gn.Parameters();
   params.push_back(x);
   EXPECT_LT(MaxGradError(loss, params), kTol);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/common/random.h"
+#include "src/tensor/op_helpers.h"
 #include "src/tensor/ops.h"
 #include "tests/test_util.h"
 
@@ -284,6 +289,178 @@ TEST(OpsForward, SoftmaxIsShiftInvariant) {
   Tensor a = Tensor::FromVector({1, 3}, {1, 2, 3});
   Tensor b = Tensor::FromVector({1, 3}, {1001, 1002, 1003});
   ExpectVectorNear(SoftmaxRows(a).data(), SoftmaxRows(b).data(), 1e-5f);
+}
+
+// ------------------------------------------------ binary kernels, bit-exact
+//
+// Add/Sub/Mul/Div run one kernel per (op, broadcast) pair. The reference
+// below is the straightforward per-element loop they replaced: one switch on
+// the op and one flat-index map into b per element. The kernels must match
+// it bit for bit in the forward and in both gradients, which pins every
+// broadcast gradient entry to the same terms in the same order. Mul's
+// gradient terms go through internal::MulAdd in both, the single rounding
+// the compiler gives `acc += g * b` wherever it contracts it.
+
+enum class RefOp { kAdd, kSub, kMul, kDiv };
+
+size_t RefBIndex(internal::Broadcast bc, size_t i, int d) {
+  switch (bc) {
+    case internal::Broadcast::kSame:
+      return i;
+    case internal::Broadcast::kScalar:
+      return 0;
+    case internal::Broadcast::kRow:
+      return i % static_cast<size_t>(d);
+    case internal::Broadcast::kCol:
+      return i / static_cast<size_t>(d);
+  }
+  return 0;
+}
+
+struct RefResult {
+  std::vector<float> out, ga, gb;
+};
+
+// Forward, then the gradients for upstream gradient `g`, of `op` on (a, b).
+// `same` mirrors an aliased call such as Mul(x, x): b is a, and both
+// gradient passes accumulate into one buffer, the a-pass first.
+RefResult ReferenceBinary(RefOp op, const Tensor& a, const Tensor& b,
+                          const std::vector<float>& g, bool same) {
+  const auto bc = internal::ClassifyBroadcast(*a.impl(), *b.impl(), "ref");
+  const int d = a.rank() == 2 ? a.dim(1) : 1;
+  const std::vector<float>& av = a.data();
+  const std::vector<float>& bv = b.data();
+  const size_t n = av.size();
+  RefResult r;
+  r.out.resize(n);
+  r.ga.assign(n, 0.0f);
+  r.gb.assign(bv.size(), 0.0f);
+  for (size_t i = 0; i < n; ++i) {
+    const float x = av[i];
+    const float y = bv[RefBIndex(bc, i, d)];
+    switch (op) {
+      case RefOp::kAdd: r.out[i] = x + y; break;
+      case RefOp::kSub: r.out[i] = x - y; break;
+      case RefOp::kMul: r.out[i] = x * y; break;
+      case RefOp::kDiv: r.out[i] = x / y; break;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const float y = bv[RefBIndex(bc, i, d)];
+    switch (op) {
+      case RefOp::kAdd:
+      case RefOp::kSub: r.ga[i] += g[i]; break;
+      case RefOp::kMul: r.ga[i] = internal::MulAdd(g[i], y, r.ga[i]); break;
+      case RefOp::kDiv: r.ga[i] += g[i] / y; break;
+    }
+  }
+  std::vector<float>& gb = same ? r.ga : r.gb;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t j = RefBIndex(bc, i, d);
+    switch (op) {
+      case RefOp::kAdd: gb[j] += g[i]; break;
+      case RefOp::kSub: gb[j] -= g[i]; break;
+      case RefOp::kMul: gb[j] = internal::MulAdd(g[i], av[i], gb[j]); break;
+      case RefOp::kDiv: gb[j] += -g[i] * av[i] / (bv[j] * bv[j]); break;
+    }
+  }
+  return r;
+}
+
+Tensor ApplyOp(RefOp op, const Tensor& a, const Tensor& b) {
+  switch (op) {
+    case RefOp::kAdd: return Add(a, b);
+    case RefOp::kSub: return Sub(a, b);
+    case RefOp::kMul: return Mul(a, b);
+    case RefOp::kDiv: return Div(a, b);
+  }
+  return Tensor();
+}
+
+void ExpectBitEqual(const std::vector<float>& want,
+                    const std::vector<float>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i], got[i]) << what << " at " << i;
+  }
+}
+
+// Backpropagates upstream gradient `g` from `out` (via a weighted sum).
+void BackwardWith(const Tensor& out, const std::vector<float>& g) {
+  SumAll(Mul(out, Tensor::FromVector(out.shape(), g))).Backward();
+}
+
+TEST(BinaryKernels, MatchPerElementReferenceBitForBit) {
+  const RefOp ops[] = {RefOp::kAdd, RefOp::kSub, RefOp::kMul, RefOp::kDiv};
+  const char* op_names[] = {"add", "sub", "mul", "div"};
+  int cases = 0;
+  for (int n : {1, 5}) {
+    for (int d : {1, 7, 33}) {  // scalar loops, vector body + tail
+      const std::vector<std::pair<std::string, std::vector<int>>> b_shapes = {
+          {"same", {n, d}}, {"scalar", {1}}, {"row(d)", {d}},
+          {"row(1,d)", {1, d}}, {"col(n,1)", {n, 1}}};
+      for (const auto& [bname, bshape] : b_shapes) {
+        for (int k = 0; k < 4; ++k) {
+          for (int grads = 1; grads <= 3; ++grads) {  // a, b, both
+            SeedGlobalRng(9000 + cases);
+            Tensor a = Tensor::Randn({n, d}, 1.0f, grads & 1);
+            // b away from zero so Div stays well scaled.
+            Tensor b = Tensor::Uniform(bshape, 0.5f, 2.0f, grads & 2);
+            Tensor g = Tensor::Randn({n, d}, 1.0f);
+            const std::string what = std::string(op_names[k]) + " b=" + bname +
+                                     " n=" + std::to_string(n) +
+                                     " d=" + std::to_string(d) +
+                                     " grads=" + std::to_string(grads);
+            const RefResult want =
+                ReferenceBinary(ops[k], a, b, g.data(), false);
+            Tensor out = ApplyOp(ops[k], a, b);
+            ExpectBitEqual(want.out, out.data(), what + " forward");
+            BackwardWith(out, g.data());
+            if (grads & 1) ExpectBitEqual(want.ga, a.grad(), what + " a.grad");
+            if (grads & 2) ExpectBitEqual(want.gb, b.grad(), what + " b.grad");
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 3 * 5 * 4 * 3);
+}
+
+TEST(BinaryKernels, AliasedOperandsMatchReference) {
+  for (RefOp op : {RefOp::kMul, RefOp::kDiv}) {
+    SeedGlobalRng(9500);
+    Tensor x = Tensor::Uniform({3, 33}, 0.5f, 2.0f, true);
+    Tensor g = Tensor::Randn({3, 33}, 1.0f);
+    const RefResult want = ReferenceBinary(op, x, x, g.data(), true);
+    Tensor out = ApplyOp(op, x, x);
+    ExpectBitEqual(want.out, out.data(), "aliased forward");
+    BackwardWith(out, g.data());
+    ExpectBitEqual(want.ga, x.grad(), "aliased grad");
+  }
+}
+
+// Tensors with a zero dimension cannot come from the factories, but ops can
+// build them; every kernel must handle zero rows.
+TEST(BinaryKernels, EmptyRowsProduceEmptyOutputAndNoGradient) {
+  auto empty = std::make_shared<TensorImpl>();
+  empty->shape = {0, 7};
+  empty->requires_grad = true;
+  const Tensor a(empty);
+  const Tensor row = Tensor::Uniform({7}, 0.5f, 2.0f, true);
+  const Tensor scalar = Tensor::Scalar(2.0f, true);
+  for (RefOp op : {RefOp::kAdd, RefOp::kSub, RefOp::kMul, RefOp::kDiv}) {
+    for (const Tensor& b : {a, row, scalar}) {
+      Tensor out = ApplyOp(op, a, b);
+      EXPECT_EQ(out.shape(), std::vector<int>({0, 7}));
+      EXPECT_TRUE(out.data().empty());
+      // The sum over no elements; backward must touch nothing.
+      Tensor loss = AddScalar(SumAll(out), 1.0f);
+      loss.Backward();
+    }
+  }
+  for (float v : row.impl()->grad) EXPECT_EQ(v, 0.0f);
+  for (float v : scalar.impl()->grad) EXPECT_EQ(v, 0.0f);
 }
 
 }  // namespace
