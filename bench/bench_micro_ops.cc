@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the hot paths underneath
 // training and inference — matmul, softmax, GAT layers, Dijkstra rows,
-// R-tree queries, sub-graph extraction, HMM matching and one full RNTrajRec
-// inference.
+// R-tree queries, sub-graph extraction, HMM matching, one full RNTrajRec
+// inference and BeginInference on growing simulator cities.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,8 @@
 #include "src/nn/graph.h"
 #include "src/nn/rnn.h"
 #include "src/serve/roadnet_cache.h"
+#include "src/roadnet/subgraph.h"
+#include "src/sim/city.h"
 #include "src/sim/presets.h"
 #include "src/tensor/buffer_pool.h"
 #include "src/tensor/fusion.h"
@@ -49,48 +51,6 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(512);
 
-void BM_AddRowCol(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SeedGlobalRng(8);
-  Tensor u = Tensor::Randn({n, 1}, 1.0f);
-  Tensor v = Tensor::Randn({n}, 1.0f);
-  NoGradGuard guard;
-  BufferPoolScope pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(AddRowCol(u, v).data().data());
-  }
-}
-BENCHMARK(BM_AddRowCol)->Arg(128);
-
-void BM_MaskedSoftmaxRows(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SeedGlobalRng(9);
-  Tensor a = Tensor::Randn({n, n}, 1.0f);
-  Tensor mask = Tensor::Zeros({n, n});
-  NoGradGuard guard;
-  BufferPoolScope pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MaskedSoftmaxRows(a, mask).data().data());
-  }
-}
-BENCHMARK(BM_MaskedSoftmaxRows)->Arg(128);
-
-void BM_GatLayer(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SeedGlobalRng(3);
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
-  DenseGraph g = BuildDenseGraph(n, edges);
-  GatLayer gat(32, 4);
-  Tensor h = Tensor::Randn({n, 32}, 1.0f);
-  NoGradGuard guard;
-  BufferPoolScope pool;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gat.Forward(h, g).data().data());
-  }
-}
-BENCHMARK(BM_GatLayer)->Arg(16)->Arg(128);
-
 // One sequence of length arg0 as a padded batch of one.
 void BM_SelfAttention(benchmark::State& state) {
   SeedGlobalRng(4);
@@ -105,64 +65,6 @@ void BM_SelfAttention(benchmark::State& state) {
 }
 BENCHMARK(BM_SelfAttention)->Arg(8)->Arg(48);
 
-// Batched GAT: the graph-by-graph GatLayer::Forward loop vs ONE
-// ForwardBatched pass over the block-diagonal pack of the same sub-graphs
-// (the PR 5 refactor). Arg0 = number of sub-graphs (ragged 10-16 node
-// chains, the serving sub-graph shape), arg1 = batched.
-struct GatBatchFixture {
-  std::vector<DenseGraph> graphs;
-  std::vector<const DenseGraph*> graph_ptrs;
-  BatchedDenseGraph batched;
-  Tensor h_flat;
-  std::vector<Tensor> h_parts;
-  GatLayer gat{32, 4};
-
-  explicit GatBatchFixture(int num_graphs) {
-    SeedGlobalRng(11);
-    for (int g = 0; g < num_graphs; ++g) {
-      const int n = 10 + g % 7;
-      std::vector<std::pair<int, int>> edges;
-      for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
-      graphs.push_back(BuildDenseGraph(n, edges));
-      h_parts.push_back(Tensor::Randn({n, 32}, 1.0f));
-    }
-    for (const auto& g : graphs) graph_ptrs.push_back(&g);
-    batched = BuildBatchedDenseGraph(graph_ptrs);
-    h_flat = ConcatRows(h_parts);
-  }
-};
-
-void BM_GatBatch(benchmark::State& state) {
-  static GatBatchFixture f16(16);
-  static GatBatchFixture f64(64);
-  GatBatchFixture& f = state.range(0) == 16 ? f16 : f64;
-  const bool batched = state.range(1) == 1;
-  NoGradGuard guard;
-  BufferPoolScope pool;
-  for (auto _ : state) {
-    if (batched) {
-      benchmark::DoNotOptimize(
-          f.gat.ForwardBatched(f.h_flat, f.batched).data().data());
-    } else {
-      for (size_t g = 0; g < f.graphs.size(); ++g) {
-        benchmark::DoNotOptimize(
-            f.gat.Forward(f.h_parts[g], f.graphs[g]).data().data());
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.graphs.size()));
-  state.SetLabel(std::string(batched ? "one block-diagonal pass"
-                                     : "per-graph loop") +
-                 ", graphs=" + std::to_string(f.graphs.size()) +
-                 ", 10-16 nodes, d=32, heads=4");
-}
-BENCHMARK(BM_GatBatch)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
-
 // GPSFormer forward as one padded batched pass over B ragged trajectories
 // with chain sub-graphs per timestep. Arg0 is use_grl: 0 isolates the
 // temporal (transformer) half, 1 runs the full encoder.
@@ -171,12 +73,11 @@ struct GpsFormerBatchFixture {
   std::unique_ptr<GpsFormer> gf;
   std::unique_ptr<GpsFormer> gf_nogrl;
   std::vector<int> lengths;
-  std::vector<std::vector<DenseGraph>> graphs;
   Tensor h0_flat;
   Tensor z0_flat;
-  /// Block-diagonal pack of every sub-graph across the batch, prebuilt like
-  /// the serving path's per-sample cached packs.
-  BatchedDenseGraph batched_graphs;
+  /// Every sub-graph across the batch as the components of one graph, built
+  /// once like the per-batch graph of the serving path.
+  CsrGraph graphs;
 
   GpsFormerBatchFixture() {
     SeedGlobalRng(6);
@@ -193,27 +94,22 @@ struct GpsFormerBatchFixture {
     gf_nogrl->SetTraining(false);
     std::vector<Tensor> h0_parts;
     std::vector<Tensor> z0_parts;
+    CsrGraphBuilder builder;
     for (int s = 0; s < batch; ++s) {
       const int l = 3 + s % 4;
       lengths.push_back(l);
       h0_parts.push_back(Tensor::Randn({l, dim}, 1.0f));
-      std::vector<DenseGraph> g;
       for (int t = 0; t < l; ++t) {
         const int n = 10 + (s + t) % 7;
         z0_parts.push_back(Tensor::Randn({n, dim}, 1.0f));
         std::vector<std::pair<int, int>> edges;
         for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
-        g.push_back(BuildDenseGraph(n, edges));
+        builder.Add(n, edges);
       }
-      graphs.push_back(std::move(g));
     }
     h0_flat = ConcatRows(h0_parts);
     z0_flat = ConcatRows(z0_parts);
-    std::vector<const DenseGraph*> graph_ptrs;
-    for (const auto& g : graphs) {
-      for (const auto& d : g) graph_ptrs.push_back(&d);
-    }
-    batched_graphs = BuildBatchedDenseGraph(graph_ptrs);
+    graphs = builder.Build();
   }
 };
 
@@ -230,7 +126,7 @@ void BM_GpsFormerBatch(benchmark::State& state) {
   BufferPoolScope pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        gf.ForwardBatch(f.h0_flat, f.lengths, f.z0_flat, f.batched_graphs)
+        gf.ForwardBatch(f.h0_flat, f.lengths, f.z0_flat, f.graphs)
             .h.data()
             .data());
   }
@@ -240,7 +136,7 @@ void BM_GpsFormerBatch(benchmark::State& state) {
 BENCHMARK(BM_GpsFormerBatch)->Arg(1)->Arg(0);
 
 // Isolated GRL record over the same B=16 ragged batch as BM_GpsFormerBatch:
-// one ForwardBatch (fat fusion GEMMs + ONE block-diagonal batched GAT pass).
+// one ForwardBatch (fat fusion GEMMs + ONE GAT pass over the batch graph).
 void BM_GrlBatch(benchmark::State& state) {
   auto& f = TheGpsFormerFixture();
   static GraphRefinementLayer* grl = [] {
@@ -254,7 +150,7 @@ void BM_GrlBatch(benchmark::State& state) {
   BufferPoolScope pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        grl->ForwardBatch(f.h0_flat, f.z0_flat, f.batched_graphs, f.lengths)
+        grl->ForwardBatch(f.h0_flat, f.z0_flat, f.graphs, f.lengths)
             .data()
             .data());
   }
@@ -499,6 +395,83 @@ void BM_RnTrajRecInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RnTrajRecInference);
+
+// GAT layer forward (d=32, 4 heads) on the graphs the model runs it on.
+// Arg0 = 0: 64 GPS-point sub-graphs of the 270-segment Chengdu network
+// (delta 300 m, at most 32 nodes: about 32 nodes and 57 edges each) as one
+// batch graph, the GRL shape; 1: that 270-segment road graph and 2: the
+// 848-segment Shanghai-L one, the GridGNN shapes.
+struct GatGraphs {
+  CsrGraph graphs[3];
+  std::string labels[3];
+
+  GatGraphs() {
+    const RoadNetwork chengdu =
+        GenerateCity(ChengduConfig(BenchScale::kSmall).city);
+    const RTree rtree = BuildSegmentRTree(chengdu);
+    Rng rng(3);
+    const BBox& b = chengdu.bounds();
+    CsrGraphBuilder builder;
+    for (int i = 0; i < 64; ++i) {
+      const Vec2 p{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
+      const PointSubGraph sg =
+          ExtractPointSubGraph(chengdu, rtree, p, 300.0, 30.0, 32);
+      builder.Add(sg.size(), sg.local_edges);
+    }
+    graphs[0] = builder.Build();
+    graphs[1] = BuildCsrGraph(chengdu.num_segments(), chengdu.edges());
+    const RoadNetwork shanghai =
+        GenerateCity(ShanghaiLConfig(BenchScale::kFull).city);
+    graphs[2] = BuildCsrGraph(shanghai.num_segments(), shanghai.edges());
+    labels[0] = "64 sub-graphs";
+    labels[1] = "Chengdu road graph";
+    labels[2] = "Shanghai-L road graph";
+  }
+};
+
+void BM_GatLayer(benchmark::State& state) {
+  static GatGraphs g;
+  const CsrGraph& graph = g.graphs[state.range(0)];
+  const bool backward = state.range(1) == 1;
+  SeedGlobalRng(3);
+  GatLayer gat(32, 4);
+  Tensor h = Tensor::Randn({graph.num_nodes(), 32}, 1.0f, backward);
+  std::optional<NoGradGuard> no_grad;
+  if (!backward) no_grad.emplace();
+  BufferPoolScope pool;
+  for (auto _ : state) {
+    Tensor out = gat.Forward(h, graph);
+    if (backward) SumAll(out).Backward();
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+  state.SetLabel(g.labels[state.range(0)] + ", " +
+                 std::to_string(graph.num_nodes()) + " nodes, " +
+                 std::to_string(graph.num_edges()) + " edges incl. self-loops" +
+                 (backward ? ", fwd+bwd" : ", fwd"));
+}
+BENCHMARK(BM_GatLayer)->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// RNTrajRec BeginInference (the GridGNN forward over every segment) on
+// simulator cities of Arg0 x Arg0 intersections: 18 -> 1,057 segments,
+// 26 -> 2,258, 36 -> 4,348. Cost should grow with |V| + |E|.
+void BM_BeginInference(benchmark::State& state) {
+  DatasetConfig cfg;
+  cfg.city.rows = cfg.city.cols = static_cast<int>(state.range(0));
+  cfg.num_train = cfg.num_val = cfg.num_test = 0;
+  std::unique_ptr<Dataset> ds = BuildDataset(cfg);
+  SeedGlobalRng(9);
+  RnTrajRec model(DefaultRnTrajRecConfig(24), ModelContext::FromDataset(*ds));
+  model.SetTrainingMode(false);
+  for (auto _ : state) model.BeginInference();
+  state.SetLabel(std::to_string(ds->roadnet().num_segments()) + " segments, " +
+                 std::to_string(ds->roadnet().edges().size()) + " edges");
+}
+BENCHMARK(BM_BeginInference)
+    ->Arg(18)
+    ->Arg(26)
+    ->Arg(36)
+    ->Unit(benchmark::kMillisecond);
 
 /// Isolated decoder record: one DecodeBatch over a micro-batch of B samples
 /// (fixed encoder outputs, warm mask caches) — per target step, one fat

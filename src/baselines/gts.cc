@@ -8,7 +8,8 @@ GtsModel::GtsModel(const BaselineConfig& config, const ModelContext& ctx,
                    int gnn_layers)
     : EncoderDecoderModel("GTS+Decoder", config, ctx),
       seg_emb_(ctx.rn->num_segments(), cfg_.dim),
-      road_graph_(BuildDenseGraph(ctx.rn->num_segments(), ctx.rn->edges())),
+      road_graph_(BuildCsrGraph(ctx.rn->num_segments(), ctx.rn->edges(),
+                               EdgeWeights::kGcnNorm)),
       in_proj_(cfg_.dim + 1, cfg_.dim),
       gru_(cfg_.dim, cfg_.dim) {
   RegisterChild("seg_emb", &seg_emb_);

@@ -33,7 +33,7 @@ class GtsModel : public EncoderDecoderModel {
  private:
   Embedding seg_emb_;
   std::vector<std::unique_ptr<GcnLayer>> gcn_;
-  DenseGraph road_graph_;
+  CsrGraph road_graph_;
   Linear in_proj_;
   Gru gru_;
   Tensor node_repr_;  ///< (|V|, d), refreshed per batch.

@@ -19,7 +19,7 @@ GpsFormer::GpsFormer(const GpsFormerConfig& config) : cfg_(config) {
 
 GpsFormer::BatchOutput GpsFormer::ForwardBatch(
     const Tensor& h0, const std::vector<int>& lengths, const Tensor& z0,
-    const BatchedDenseGraph& graphs) {
+    const CsrGraph& graphs) {
   // Eq. (12): position embeddings restart at every sample boundary.
   Tensor h = Add(h0, StackedPositionEncoding(lengths, cfg_.dim));
   Tensor z = z0;

@@ -38,19 +38,19 @@ class GpsFormer : public Module {
   /// One encoder pass for a whole batch of trajectories (a single
   /// trajectory is a batch of one). `h0` stacks every sample's initial point
   /// features back to back ((sum(lengths), d)); `z0` holds all sub-graph
-  /// node features across the batch in the same flat order, with `graphs`
-  /// their block-diagonal connectivity (BatchedDenseGraph, graph g = sample
-  /// s timestep t in flat order).
+  /// node features across the batch in the same flat order, and `graphs`
+  /// holds those sub-graphs as disjoint components (component g = sample s
+  /// timestep t in flat order).
   /// Internally the temporal half runs on a PaddedBatch ((B*max_len, d)
   /// blocks) so attention/FFN/LayerNorm see fat GEMMs; the GRL half runs on
-  /// the flat layout (batched fusion GEMMs, ONE block-diagonal batched GAT
-  /// pass over all sub-graphs, per-sample GraphNorm). Batch-composition
+  /// the flat layout (batched fusion GEMMs, ONE GAT pass over the batch
+  /// graph, per-sample GraphNorm). Batch-composition
   /// invariant: a sample's outputs do not depend on which other samples
   /// share the batch, up to float rounding (~1e-6: the blocked GEMM's
   /// row-peel kernels may contract FMAs differently at different batch
   /// heights).
   BatchOutput ForwardBatch(const Tensor& h0, const std::vector<int>& lengths,
-                           const Tensor& z0, const BatchedDenseGraph& graphs);
+                           const Tensor& z0, const CsrGraph& graphs);
 
   const GpsFormerConfig& config() const { return cfg_; }
 

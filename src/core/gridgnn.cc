@@ -14,7 +14,11 @@ GridGnn::GridGnn(const GridGnnConfig& config, const RoadNetwork* rn,
       seg_emb_(rn->num_segments(), config.dim),
       grid_gru_(config.dim, config.dim),
       out_(config.dim + kStaticFeatureDim, config.dim),
-      road_graph_(BuildDenseGraph(rn->num_segments(), rn->edges())) {
+      road_graph_(BuildCsrGraph(
+          rn->num_segments(), rn->edges(),
+          config.kind == RoadEncoderKind::kGcn   ? EdgeWeights::kGcnNorm
+          : config.kind == RoadEncoderKind::kGin ? EdgeWeights::kNeighbours
+                                                 : EdgeWeights::kNone)) {
   RegisterChild("grid_emb", &grid_emb_);
   RegisterChild("seg_emb", &seg_emb_);
   RegisterChild("grid_gru", &grid_gru_);

@@ -60,7 +60,7 @@ class GridGnn : public Module {
   std::vector<std::unique_ptr<GcnLayer>> gcn_;
   std::vector<std::unique_ptr<GinLayer>> gin_;
   Linear out_;
-  DenseGraph road_graph_;
+  CsrGraph road_graph_;
   Tensor static_features_;  ///< (|V|, 11) constant.
   /// Padded grid sequences: step -> cell index per segment, plus freeze masks.
   std::vector<std::vector<int>> step_cells_;

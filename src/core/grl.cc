@@ -67,17 +67,17 @@ Tensor GraphRefinementLayer::NormaliseBatch(
 }
 
 Tensor GraphRefinementLayer::ForwardBatch(
-    const Tensor& tr, const Tensor& z, const BatchedDenseGraph& graphs,
+    const Tensor& tr, const Tensor& z, const CsrGraph& graphs,
     const std::vector<int>& sample_graph_counts) {
   const std::vector<int>& graph_sizes = graphs.sizes;
-  const int num_graphs = graphs.num_graphs;
+  const int num_graphs = static_cast<int>(graph_sizes.size());
   RNTRAJ_CHECK(tr.dim(0) == num_graphs);
   std::vector<int> node2graph;
-  node2graph.reserve(graphs.total_nodes);
+  node2graph.reserve(graphs.num_nodes());
   for (int g = 0; g < num_graphs; ++g) {
     node2graph.insert(node2graph.end(), graph_sizes[g], g);
   }
-  RNTRAJ_CHECK(z.dim(0) == graphs.total_nodes);
+  RNTRAJ_CHECK(z.dim(0) == graphs.num_nodes());
 
   // Sub-layer 1: GraphNorm(x + GatedFusion(x)), fused across the batch. The
   // node-side and timestep-side projections are single fat GEMMs over all
@@ -108,15 +108,15 @@ Tensor GraphRefinementLayer::ForwardBatch(
   }
 
   // Sub-layer 2: GraphNorm(x + GraphForward(x)). GAT propagation runs ONE
-  // block-diagonal batched pass over all sub-graphs (per-graph softmax
-  // blocks in GatLayer::ForwardBatched keep neighbourhoods intact); the
-  // w/o-GAT feed-forward replacement is row-local and runs in one GEMM.
+  // pass over the batch graph (each node's softmax spans its own in-edges,
+  // so neighbourhoods stay inside their sub-graph); the w/o-GAT feed-forward
+  // replacement is row-local and runs in one GEMM.
   Tensor forwarded;
   if (cfg_.use_gat) {
     Tensor prop = a;
     {
       obs::ScopedStage stage(obs::Stage::kGat);
-      for (auto& layer : gat_) prop = layer->ForwardBatched(prop, graphs);
+      for (auto& layer : gat_) prop = layer->Forward(prop, graphs);
     }
     forwarded = Add(a, prop);
   } else {

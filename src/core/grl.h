@@ -45,20 +45,19 @@ class GraphRefinementLayer : public Module {
   /// `tr` holds the valid encoder rows of every sample back to back ((sum of
   /// lengths, d)); `z` is the flat node-feature tensor of all sub-graphs
   /// across the batch (samples in order, timesteps in order within each
-  /// sample) with `graphs` — the block-diagonal
-  /// connectivity of ALL those sub-graphs — aligned to the same flat order;
-  /// `sample_graph_counts[s]` is sample s's timestep count.
+  /// sample), and `graphs` holds those sub-graphs as disjoint components in
+  /// the same order; `sample_graph_counts[s]` is sample s's timestep count.
   ///
   /// Everything is batched: the gated-fusion projections run as single fat
   /// GEMMs over all nodes / all timesteps of the whole batch, and GAT
-  /// propagation runs ONE GatLayer::ForwardBatched pass over the packed
-  /// block-diagonal masks (per-graph softmax blocks, so sub-graphs still
-  /// never attend across each other). Normalisation stays per sample, so
-  /// GraphNorm batch statistics cover exactly one trajectory's sub-graphs
-  /// (paper Eq. (9)) and every node feature is batch-composition invariant
-  /// within float rounding. Returns the refined flat tensor.
+  /// propagation is ONE GatLayer::Forward over the batch graph (sub-graphs
+  /// share no edges, so they never attend across each other).
+  /// Normalisation stays per sample, so GraphNorm batch statistics cover
+  /// exactly one trajectory's sub-graphs (paper Eq. (9)) and every node
+  /// feature is batch-composition invariant within float rounding. Returns
+  /// the refined flat tensor.
   Tensor ForwardBatch(const Tensor& tr, const Tensor& z,
-                      const BatchedDenseGraph& graphs,
+                      const CsrGraph& graphs,
                       const std::vector<int>& sample_graph_counts);
 
  private:

@@ -33,7 +33,7 @@ RnTrajRec::PointContexts RnTrajRec::BuildPointContexts(
     const TrajectorySample& sample) const {
   obs::ScopedStage stage(obs::Stage::kSubgraph);
   PointContexts pts;
-  pts.pts.reserve(sample.input.size());
+  pts.reserve(sample.input.size());
   for (const auto& rp : sample.input.points) {
     PointContext cp;
     cp.sg = seg_source_ != nullptr
@@ -43,26 +43,29 @@ RnTrajRec::PointContexts RnTrajRec::BuildPointContexts(
                 : ExtractPointSubGraph(*ctx_.rn, *ctx_.rtree, rp.pos,
                                        cfg_.delta, cfg_.gamma,
                                        cfg_.max_subgraph_nodes);
-    cp.dense = BuildDenseGraph(cp.sg.size(), cp.sg.local_edges);
     const int n = cp.sg.size();
+    // Eq. (6) pooling weights omega_i / sum(omega), with every omega divided
+    // by the nearest segment's: exp(z0^2 - z_i^2), z = distance / gamma.
+    // Undivided, all omega underflow to 0 once a point is ~820 m off-road
+    // and the quotient is 0/0.
+    const double z0 = cp.sg.distances[0] / cfg_.gamma;
+    std::vector<double> scaled(n);
+    double total = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double z = cp.sg.distances[i] / cfg_.gamma;
+      scaled[i] = std::exp(z0 * z0 - z * z);
+      total += scaled[i];
+    }
     std::vector<float> pool(n);
     std::vector<float> logw(n);
-    double total = 0.0;
-    for (int i = 0; i < n; ++i) total += cp.sg.weights[i];
     for (int i = 0; i < n; ++i) {
-      pool[i] = static_cast<float>(cp.sg.weights[i] / total);
+      pool[i] = static_cast<float>(scaled[i] / total);
       logw[i] = static_cast<float>(std::log(std::max(cp.sg.weights[i], 1e-20)));
     }
     cp.pool_weights = Tensor::FromVector({1, n}, pool);
     cp.log_weights = Tensor::FromVector({1, n}, logw);
-    pts.pts.push_back(std::move(cp));
+    pts.push_back(std::move(cp));
   }
-  // Pack the sample's sub-graph masks block-diagonally once; the batched GAT
-  // path reuses this from the memo cache on every subsequent forward.
-  std::vector<const DenseGraph*> graphs;
-  graphs.reserve(pts.pts.size());
-  for (const PointContext& cp : pts.pts) graphs.push_back(&cp.dense);
-  pts.batched = BuildBatchedDenseGraph(graphs);
   return pts;
 }
 
@@ -124,7 +127,7 @@ Tensor RnTrajRec::GraphClassificationLoss(const Encoded& e,
   // supervised by the true segment at the input timestamps.
   std::vector<Tensor> terms;
   for (size_t i = 0; i < e.z.size(); ++i) {
-    const PointContext& cp = e.points->pts[i];
+    const PointContext& cp = (*e.points)[i];
     const int truth_seg =
         sample.truth.points[sample.input_indices[i]].seg_id;
     const int local = cp.sg.LocalIndexOf(truth_seg);
@@ -145,21 +148,19 @@ std::vector<RnTrajRec::Encoded> RnTrajRec::EncodeBatch(
   const int batch = static_cast<int>(samples.size());
 
   // Sub-Graph Generation across the batch: all sub-graphs flat (samples in
-  // order, timesteps in order), per-sample feature blocks stacked so the
-  // input projection is one (sum of lengths, d+3) GEMM. The block-diagonal
-  // masks concatenate from the per-sample cached packs (no per-graph work).
+  // order, timesteps in order) as the components of one graph, per-sample
+  // feature blocks stacked so the input projection is one (sum of lengths,
+  // d+3) GEMM.
   std::vector<int> lengths(batch);
   std::vector<Tensor> env_rows;
   Tensor h0;
   Tensor z0;
-  BatchedDenseGraph concat;
-  const BatchedDenseGraph* graphs_ptr = nullptr;
+  CsrGraph graphs;
   {
     obs::ScopedStage stage(obs::Stage::kSubgraph);
     std::vector<Tensor> z0_parts;
-    std::vector<const BatchedDenseGraph*> graph_parts;
     std::vector<Tensor> feat_parts;
-    graph_parts.reserve(batch);
+    CsrGraphBuilder builder;
     feat_parts.reserve(batch);
     env_rows.reserve(batch);
     for (int s = 0; s < batch; ++s) {
@@ -167,12 +168,12 @@ std::vector<RnTrajRec::Encoded> RnTrajRec::EncodeBatch(
       lengths[s] = sample.input.size();
       std::vector<Tensor> gp_rows;
       gp_rows.reserve(lengths[s]);
-      for (const PointContext& cp : pts[s]->pts) {
+      for (const PointContext& cp : *pts[s]) {
         Tensor zi = GatherRows(xroad_, cp.sg.seg_ids);   // (n_i, d)
         gp_rows.push_back(Matmul(cp.pool_weights, zi));  // (1, d), Eq. (6)
         z0_parts.push_back(std::move(zi));
+        builder.Add(cp.sg.size(), cp.sg.local_edges);
       }
-      graph_parts.push_back(&pts[s]->batched);
       feat_parts.push_back(ConcatCols({ConcatRows(gp_rows),
                                        InputTimeColumn(sample),
                                        InputGridCoords(ctx_, sample)}));
@@ -181,10 +182,8 @@ std::vector<RnTrajRec::Encoded> RnTrajRec::EncodeBatch(
     h0 = input_proj_.Forward(
         feat_parts.size() == 1 ? feat_parts[0] : ConcatRows(feat_parts));
     z0 = z0_parts.size() == 1 ? z0_parts[0] : ConcatRows(z0_parts);
-    if (batch > 1) concat = ConcatBatchedDenseGraphs(graph_parts);
-    graphs_ptr = batch == 1 ? &pts[0]->batched : &concat;
+    graphs = builder.Build();
   }
-  const BatchedDenseGraph& graphs = *graphs_ptr;
 
   GpsFormer::BatchOutput out =
       gpsformer_.ForwardBatch(h0, lengths, z0, graphs);

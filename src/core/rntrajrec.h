@@ -116,20 +116,12 @@ class RnTrajRec : public Module, public RecoveryModel {
   /// Immutable per-input-point spatial context (Sub-Graph Generation).
   struct PointContext {
     PointSubGraph sg;
-    DenseGraph dense;
     Tensor pool_weights;  ///< (1, n) omega / sum(omega), for Eq. (6).
     Tensor log_weights;   ///< (1, n) log omega, the Eq. (18) GCL mask.
   };
 
-  /// All point contexts of one sample, plus the sample's sub-graph masks
-  /// packed block-diagonally (BatchedDenseGraph) for the batched GAT path.
-  /// Cached per sample in the same memo as the sub-graphs themselves, so a
-  /// dataset sample never re-packs its masks; EncodeBatch concatenates the
-  /// cached per-sample packs into the batch-level graph.
-  struct PointContexts {
-    std::vector<PointContext> pts;
-    BatchedDenseGraph batched;
-  };
+  /// All point contexts of one sample, cached per sample in the memo.
+  using PointContexts = std::vector<PointContext>;
 
   struct Encoded {
     Tensor enc;                  ///< (l, d) encoder outputs H^N.

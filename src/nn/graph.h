@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,154 +12,117 @@
 #include "src/tensor/ops.h"
 
 /// \file graph.h
-/// Graph neural layers over dense adjacency masks. Both the road-network
-/// graph (hundreds of nodes) and per-GPS-point sub-graphs (tens of nodes) are
-/// small enough that dense masked attention is the fastest CPU formulation;
-/// the -1e9 mask reproduces sparse neighbourhood softmax exactly (masked
-/// entries underflow to zero probability).
+/// Graph neural layers over sparse in-edge graphs. Paper Eq. (3)-(4) define
+/// the GAT over each node's in-neighbours (plus itself), and both graphs the
+/// model sees are sparse: a 32-node GPS-point sub-graph has about 57 edges
+/// and a road segment two or three successors. So a graph stores only its
+/// edges, as compressed sparse rows of in-edges, and every layer costs
+/// O(|V| + |E|) per head, never |V|^2.
 
 namespace rntraj {
 
-/// Precomputed dense connectivity for one directed graph.
-struct DenseGraph {
-  int n = 0;
-  /// (n,n) 0/1 adjacency including self-loops.
-  Tensor adj_self;
-  /// (n,n) 0/1 adjacency without self-loops.
-  Tensor adj_noself;
-  /// (n,n) additive softmax mask: 0 where adj_self is 1, -1e9 elsewhere.
-  Tensor neg_mask;
-  /// (n,n) symmetric GCN propagation matrix D^-1/2 (A+I) D^-1/2.
-  Tensor gcn_norm;
+/// Which per-edge weights a CsrGraph carries for the SpMM layers.
+enum class EdgeWeights {
+  kNone,  ///< Structure only (the GAT computes its own edge values).
+  /// GcnLayer: 1 / sqrt(deg(dst) * deg(src)) with deg = in-degree + 1 (the
+  /// self-loop) on both sides. This is not the symmetric normaliser of the
+  /// symmetrised adjacency: the edge 1<-0 of a one-edge 2-node graph gets
+  /// 1/sqrt(2 * 1).
+  kGcnNorm,
+  /// GinLayer: 1 on each edge from a predecessor, 0 on the self-loop.
+  kNeighbours,
 };
 
-/// Builds the dense masks for a node count and directed edge list. Edges are
-/// interpreted as (src, dst): dst aggregates from src, i.e. row `dst` attends
-/// over column `src`; callers pass predecessor-style edges for directed road
-/// graphs.
-inline DenseGraph BuildDenseGraph(int n,
-                                  const std::vector<std::pair<int, int>>& edges) {
-  DenseGraph g;
-  g.n = n;
-  g.adj_self = Tensor::Zeros({n, n});
-  g.adj_noself = Tensor::Zeros({n, n});
-  g.neg_mask = Tensor::Full({n, n}, -1e9f);
-  auto set_edge = [&](int row, int col) {
-    g.adj_self.data()[static_cast<size_t>(row) * n + col] = 1.0f;
-    g.neg_mask.data()[static_cast<size_t>(row) * n + col] = 0.0f;
-  };
-  for (int i = 0; i < n; ++i) set_edge(i, i);
-  for (const auto& [src, dst] : edges) {
-    RNTRAJ_CHECK(src >= 0 && src < n && dst >= 0 && dst < n);
-    set_edge(dst, src);
-    g.adj_noself.data()[static_cast<size_t>(dst) * n + src] = 1.0f;
-  }
-  // GCN normalisation over the symmetrised self-loop adjacency.
-  std::vector<float> deg(n, 0.0f);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      deg[i] += g.adj_self.data()[static_cast<size_t>(i) * n + j];
+/// A directed graph, or a batch of disjoint graphs laid out one after another
+/// (node ids of graph g follow those of graph g-1). Node i's in-edges are
+/// the CSR row i of `csr`: its self-loop and one edge per predecessor, with
+/// sources sorted ascending.
+struct CsrGraph {
+  CsrIndexPtr csr = std::make_shared<const CsrIndex>();
+  Tensor weight;  ///< (num_edges) per-edge weights; undefined for kNone.
+  EdgeWeights weights = EdgeWeights::kNone;
+  std::vector<int> sizes;  ///< Node count of each component graph, in order.
+
+  int num_nodes() const { return csr->num_nodes(); }
+  int num_edges() const { return csr->num_edges(); }
+};
+
+/// Appends graphs to one CsrGraph. Edges are (src, dst) pairs in the local
+/// node ids of the graph being added: dst aggregates from src, so callers
+/// pass predecessor-style edges for directed road graphs. Out-of-range
+/// edges, self-loops (every node gets one implicitly) and duplicate edges
+/// are rejected.
+class CsrGraphBuilder {
+ public:
+  void Add(int n, const std::vector<std::pair<int, int>>& edges) {
+    RNTRAJ_CHECK(n >= 0);
+    std::vector<int>& off = csr_.offsets;
+    std::vector<int>& src = csr_.src;
+    const int base = csr_.num_nodes();
+    // Row lengths (the self-loop plus the in-degree), then their prefix sum.
+    off.resize(static_cast<size_t>(base) + n + 1, 1);
+    for (const auto& [s, d] : edges) {
+      RNTRAJ_CHECK_MSG(s >= 0 && s < n && d >= 0 && d < n && s != d,
+                       "graph: edge " << s << "->" << d << " is invalid in a "
+                                      << n << "-node graph");
+      ++off[base + d + 1];
     }
+    for (int i = 0; i < n; ++i) off[base + i + 1] += off[base + i];
+    src.resize(off[base + n]);
+    cursor_.assign(off.begin() + base, off.begin() + base + n);
+    for (int i = 0; i < n; ++i) src[cursor_[i]++] = base + i;
+    for (const auto& [s, d] : edges) src[cursor_[d]++] = base + s;
+    for (int i = 0; i < n; ++i) {
+      const auto row = src.begin() + off[base + i];
+      const auto row_end = src.begin() + off[base + i + 1];
+      std::sort(row, row_end);
+      RNTRAJ_CHECK_MSG(std::adjacent_find(row, row_end) == row_end,
+                       "graph: duplicate edge into node " << i);
+    }
+    sizes_.push_back(n);
   }
-  g.gcn_norm = Tensor::Zeros({n, n});
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const float a = g.adj_self.data()[static_cast<size_t>(i) * n + j];
-      if (a != 0.0f) {
-        g.gcn_norm.data()[static_cast<size_t>(i) * n + j] =
-            a / std::sqrt(deg[i] * deg[j]);
+
+  /// The graph of everything added so far, with the requested edge weights.
+  CsrGraph Build(EdgeWeights weights = EdgeWeights::kNone) {
+    CsrGraph g;
+    g.weights = weights;
+    g.sizes = std::move(sizes_);
+    if (weights != EdgeWeights::kNone) {
+      const std::vector<int>& off = csr_.offsets;
+      std::vector<float> w(csr_.src.size());
+      for (int i = 0; i < csr_.num_nodes(); ++i) {
+        for (int e = off[i]; e < off[i + 1]; ++e) {
+          const int j = csr_.src[e];
+          if (weights == EdgeWeights::kNeighbours) {
+            w[e] = j == i ? 0.0f : 1.0f;
+          } else {
+            const float deg_i = static_cast<float>(off[i + 1] - off[i]);
+            const float deg_j = static_cast<float>(off[j + 1] - off[j]);
+            w[e] = 1.0f / std::sqrt(deg_i * deg_j);
+          }
+        }
       }
+      g.weight = Tensor::FromVector({csr_.num_edges()}, std::move(w));
     }
+    g.csr = std::make_shared<const CsrIndex>(std::move(csr_));
+    csr_ = CsrIndex();
+    sizes_.clear();
+    return g;
   }
-  return g;
-}
 
-/// Block-diagonal connectivity for a SET of directed graphs (the batched-GAT
-/// counterpart of DenseGraph). Per-graph square masks are stored PACKED: a
-/// rank-1 tensor of length sum(n_g^2) where graph g's (n_g, n_g) row-major
-/// block starts at entry_offsets[g]. Node-aligned data (features, flat GEMM
-/// outputs) lives on the flat (sum(n_g), d) layout with graph g's rows
-/// starting at node_offsets[g]. Built once per sample (cacheable alongside
-/// the per-sample roadnet caches) and concatenated per batch.
-struct BatchedDenseGraph {
-  int num_graphs = 0;
-  int total_nodes = 0;    ///< sum of per-graph node counts.
-  int total_entries = 0;  ///< sum of squared node counts (packed mask size).
-  std::vector<int> sizes;          ///< per-graph node counts n_g.
-  std::vector<int> node_offsets;   ///< first flat node row of each graph.
-  std::vector<int> entry_offsets;  ///< first packed mask entry of each graph.
-  /// Packed block-diagonal additive softmax mask (per-graph neg_mask blocks:
-  /// 0 where a node may attend, -1e9 elsewhere — cross-graph scores are never
-  /// materialised, so no mask entries exist between graphs).
-  Tensor neg_mask;
-  /// Packed block-diagonal 0/1 adjacency including self-loops (per-graph
-  /// adj_self blocks), kept for property tests and non-attention consumers.
-  Tensor adj_self;
+ private:
+  CsrIndex csr_;
+  std::vector<int> sizes_;
+  std::vector<int> cursor_;
 };
 
-/// Packs the dense masks of `graphs` into one block-diagonal
-/// BatchedDenseGraph (per-graph neg_mask/adj_self blocks concatenated in
-/// order, offsets recorded per graph).
-inline BatchedDenseGraph BuildBatchedDenseGraph(
-    const std::vector<const DenseGraph*>& graphs) {
-  BatchedDenseGraph bg;
-  bg.num_graphs = static_cast<int>(graphs.size());
-  bg.sizes.reserve(graphs.size());
-  bg.node_offsets.reserve(graphs.size());
-  bg.entry_offsets.reserve(graphs.size());
-  for (const DenseGraph* g : graphs) {
-    bg.sizes.push_back(g->n);
-    bg.node_offsets.push_back(bg.total_nodes);
-    bg.entry_offsets.push_back(bg.total_entries);
-    bg.total_nodes += g->n;
-    bg.total_entries += g->n * g->n;
-  }
-  bg.neg_mask = Tensor::Zeros({bg.total_entries});
-  bg.adj_self = Tensor::Zeros({bg.total_entries});
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    const DenseGraph& g = *graphs[gi];
-    const size_t count = static_cast<size_t>(g.n) * g.n;
-    const size_t off = bg.entry_offsets[gi];
-    std::copy(g.neg_mask.data().begin(), g.neg_mask.data().begin() + count,
-              bg.neg_mask.data().begin() + off);
-    std::copy(g.adj_self.data().begin(), g.adj_self.data().begin() + count,
-              bg.adj_self.data().begin() + off);
-  }
-  return bg;
-}
-
-/// Concatenates already-packed BatchedDenseGraphs (e.g. the per-sample cached
-/// ones) into one batch-level block-diagonal graph: sizes append, offsets
-/// shift, mask storage is a straight copy.
-inline BatchedDenseGraph ConcatBatchedDenseGraphs(
-    const std::vector<const BatchedDenseGraph*>& parts) {
-  BatchedDenseGraph bg;
-  for (const BatchedDenseGraph* p : parts) {
-    bg.num_graphs += p->num_graphs;
-    bg.total_nodes += p->total_nodes;
-    bg.total_entries += p->total_entries;
-  }
-  bg.sizes.reserve(bg.num_graphs);
-  bg.node_offsets.reserve(bg.num_graphs);
-  bg.entry_offsets.reserve(bg.num_graphs);
-  bg.neg_mask = Tensor::Zeros({bg.total_entries});
-  bg.adj_self = Tensor::Zeros({bg.total_entries});
-  int node = 0;
-  int entry = 0;
-  for (const BatchedDenseGraph* p : parts) {
-    for (int g = 0; g < p->num_graphs; ++g) {
-      bg.sizes.push_back(p->sizes[g]);
-      bg.node_offsets.push_back(node + p->node_offsets[g]);
-      bg.entry_offsets.push_back(entry + p->entry_offsets[g]);
-    }
-    std::copy(p->neg_mask.data().begin(), p->neg_mask.data().end(),
-              bg.neg_mask.data().begin() + entry);
-    std::copy(p->adj_self.data().begin(), p->adj_self.data().end(),
-              bg.adj_self.data().begin() + entry);
-    node += p->total_nodes;
-    entry += p->total_entries;
-  }
-  return bg;
+/// One directed graph of n nodes (see CsrGraphBuilder for the edge rules).
+inline CsrGraph BuildCsrGraph(int n,
+                              const std::vector<std::pair<int, int>>& edges,
+                              EdgeWeights weights = EdgeWeights::kNone) {
+  CsrGraphBuilder builder;
+  builder.Add(n, edges);
+  return builder.Build(weights);
 }
 
 /// Multi-head graph attention layer (paper Eq. (3)-(4)).
@@ -176,50 +140,21 @@ class GatLayer : public Module {
     }
   }
 
-  /// h: (n, d); g: dense masks for the same n.
-  Tensor Forward(const Tensor& h, const DenseGraph& g) const {
-    RNTRAJ_CHECK(h.dim(0) == g.n);
-    const int n = g.n;
+  /// h: (num_nodes, d) -> (num_nodes, d). Each head scores every in-edge
+  /// (Eq. (3)), softmaxes over the node's in-edges and aggregates the
+  /// sources' features (Eq. (4)); a batch of disjoint graphs is one call.
+  Tensor Forward(const Tensor& h, const CsrGraph& g) const {
+    RNTRAJ_CHECK(h.dim(0) == g.num_nodes());
     std::vector<Tensor> heads;
     heads.reserve(heads_);
     for (int k = 0; k < heads_; ++k) {
-      Tensor hw = Matmul(h, w_[k]);          // (n, dh) aggregation features
-      Tensor ha = Matmul(h, w_att_[k]);      // (n, dh) attention features
-      Tensor u = Matmul(ha, a_src_[k]);      // (n, 1): centre term
-      Tensor v = Reshape(Matmul(ha, a_dst_[k]), {n});  // (n): neighbour term
-      // scores_ij = u_i + v_j, built by the fused outer sum (no (n,n) zeros
-      // temporary); the connectivity mask folds into the softmax pass.
-      Tensor scores = LeakyRelu(AddRowCol(u, v), 0.2f);
-      Tensor attn = MaskedSoftmaxRows(scores, g.neg_mask);
-      heads.push_back(LeakyRelu(Matmul(attn, hw), 0.2f));
-    }
-    return heads_ == 1 ? heads[0] : ConcatCols(heads);
-  }
-
-  /// Batched counterpart: one pass over ALL sub-graphs of a batch. `h` holds
-  /// every graph's node features flat ((g.total_nodes, d), graphs in order);
-  /// `g` is their block-diagonal connectivity. The per-head projections and
-  /// score terms run as single fat GEMMs over all nodes; the square
-  /// score/softmax/attention stage runs on the packed block-diagonal layout
-  /// (AddRowColBlocks -> SegmentMaskedSoftmax -> BlockDiagMatmul), where each
-  /// block executes the exact per-graph kernels — so the output matches the
-  /// graph-by-graph Forward loop within float rounding (~1e-6; the fat
-  /// projection GEMMs run at a different height than their per-graph
-  /// equivalents, contracting FMAs differently in the row-peel kernels).
-  Tensor ForwardBatched(const Tensor& h, const BatchedDenseGraph& g) const {
-    RNTRAJ_CHECK(h.dim(0) == g.total_nodes);
-    std::vector<Tensor> heads;
-    heads.reserve(heads_);
-    for (int k = 0; k < heads_; ++k) {
-      Tensor hw = Matmul(h, w_[k]);      // (sum n, dh) aggregation features
-      Tensor ha = Matmul(h, w_att_[k]);  // (sum n, dh) attention features
-      Tensor u = Matmul(ha, a_src_[k]);  // (sum n, 1): centre term
-      Tensor v = Reshape(Matmul(ha, a_dst_[k]), {g.total_nodes});
-      // Per-graph score matrices, packed block-diagonal; cross-graph scores
-      // are never materialised.
-      Tensor scores = LeakyRelu(AddRowColBlocks(u, v, g.sizes), 0.2f);
-      Tensor attn = SegmentMaskedSoftmax(scores, g.neg_mask, g.sizes);
-      heads.push_back(LeakyRelu(BlockDiagMatmul(attn, hw, g.sizes), 0.2f));
+      Tensor hw = Matmul(h, w_[k]);      // (n, dh) aggregation features
+      Tensor ha = Matmul(h, w_att_[k]);  // (n, dh) attention features
+      Tensor u = Matmul(ha, a_src_[k]);  // (n, 1): centre term
+      Tensor v = Matmul(ha, a_dst_[k]);  // (n, 1): neighbour term
+      Tensor scores = LeakyRelu(EdgeScores(u, v, g.csr), 0.2f);
+      Tensor attn = EdgeSoftmax(scores, g.csr);
+      heads.push_back(LeakyRelu(SpMM(attn, hw, g.csr), 0.2f));
     }
     return heads_ == 1 ? heads[0] : ConcatCols(heads);
   }
@@ -234,26 +169,27 @@ class GatLayer : public Module {
   std::vector<Tensor> a_dst_;
 };
 
-/// Graph convolution layer (Kipf & Welling) over the dense normalised
-/// adjacency; used by the Fig. 7(a) road-representation ablation and the GTS
-/// baseline.
+/// Graph convolution layer (Kipf & Welling); used by the Fig. 7(a)
+/// road-representation ablation and the GTS baseline. Propagates over a
+/// graph built with EdgeWeights::kGcnNorm.
 class GcnLayer : public Module {
  public:
   GcnLayer(int in_dim, int out_dim) : lin_(in_dim, out_dim) {
     RegisterChild("lin", &lin_);
   }
 
-  Tensor Forward(const Tensor& h, const DenseGraph& g) const {
-    // Dense propagation rides the blocked GEMM; the linear layer's bias add
-    // is the fused row broadcast.
-    return Relu(lin_.Forward(Matmul(g.gcn_norm, h)));
+  Tensor Forward(const Tensor& h, const CsrGraph& g) const {
+    RNTRAJ_CHECK_MSG(g.weights == EdgeWeights::kGcnNorm,
+                     "GcnLayer: graph needs kGcnNorm edge weights");
+    return Relu(lin_.Forward(SpMM(g.weight, h, g.csr)));
   }
 
  private:
   Linear lin_;
 };
 
-/// Graph isomorphism layer (Xu et al.): MLP((1+eps) h + sum of neighbours).
+/// Graph isomorphism layer (Xu et al.): MLP((1+eps) h + sum of in-neighbours),
+/// over a graph built with EdgeWeights::kNeighbours.
 class GinLayer : public Module {
  public:
   GinLayer(int dim, int hidden_dim)
@@ -263,8 +199,10 @@ class GinLayer : public Module {
     RegisterChild("lin2", &lin2_);
   }
 
-  Tensor Forward(const Tensor& h, const DenseGraph& g) const {
-    Tensor agg = Matmul(g.adj_noself, h);
+  Tensor Forward(const Tensor& h, const CsrGraph& g) const {
+    RNTRAJ_CHECK_MSG(g.weights == EdgeWeights::kNeighbours,
+                     "GinLayer: graph needs kNeighbours edge weights");
+    Tensor agg = SpMM(g.weight, h, g.csr);
     Tensor self = Mul(h, AddScalar(eps_, 1.0f));
     return lin2_.Forward(Relu(lin1_.Forward(Add(agg, self))));
   }

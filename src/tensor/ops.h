@@ -1,6 +1,7 @@
 #ifndef RNTRAJ_TENSOR_OPS_H_
 #define RNTRAJ_TENSOR_OPS_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/common/random.h"
@@ -63,47 +64,37 @@ Tensor BatchedMatmul(const Tensor& a, const Tensor& b, int batch);
 /// attention-score kernel (one Q K^T per sample, no cross-sample scores).
 Tensor BatchedMatmulTransB(const Tensor& a, const Tensor& b, int batch);
 
-// ----- Ragged block-diagonal ops (batched GAT over sub-graphs) ---------------
+// ----- Sparse graph ops (the graph layers of nn/graph.h) --------------------
 //
-// The batched GAT path processes every sub-graph of a batch in one pass. Its
-// square per-graph matrices (scores, attention) use a PACKED block-diagonal
-// layout: a rank-1 tensor of length sum(sizes[g]^2) where block g occupies the
-// contiguous row-major span [sum_{h<g} sizes[h]^2, ...) as a (n_g, n_g)
-// matrix. Rectangular node features stay on the flat (sum(sizes), d) layout.
-// Blocks are contiguous, so each op runs the exact per-graph kernel
-// (MaskedSoftmaxRows pipeline / packed GEMM core) per block — bit-identical
-// to the graph-by-graph loop it replaces. sizes[g] == 0 blocks are legal and
-// contribute nothing.
+// A graph's in-edges in compressed sparse rows: the edges into node i are
+// e in [offsets[i], offsets[i+1]), edge e coming from node src[e]. Per-edge
+// tensors are rank-1 of length num_edges in that order. The index is built
+// and validated by nn/graph.h's CsrGraphBuilder; the ops trust it. It is
+// shared so that backward closures keep it alive after the graph is gone.
 
-/// Block outer sum: for block g with node offset o and packed entry offset e,
-/// out[e + i*n_g + j] = col[o + i] + row[o + j]. `col`/`row` both have
-/// sum(sizes) elements (any rank-1/(n,1)/(1,n) shaping). Builds every
-/// sub-graph's GAT score matrix (AddRowCol per graph) in one pass.
-Tensor AddRowColBlocks(const Tensor& col, const Tensor& row,
-                       const std::vector<int>& sizes);
+struct CsrIndex {
+  std::vector<int> offsets{0};  ///< num_nodes + 1 row starts.
+  std::vector<int> src;         ///< Source node of every edge, row by row.
+  int num_nodes() const { return static_cast<int>(offsets.size()) - 1; }
+  int num_edges() const { return static_cast<int>(src.size()); }
+};
+using CsrIndexPtr = std::shared_ptr<const CsrIndex>;
 
-/// Segment-masked softmax over a packed block-diagonal tensor: every block-g
-/// row of width sizes[g] is the softmax of (a + mask) over that row —
-/// bit-identical to MaskedSoftmaxRows on the (n_g, n_g) block. `mask` is an
-/// additive no-grad constant in the same packed layout
-/// (BatchedDenseGraph::neg_mask).
-Tensor SegmentMaskedSoftmax(const Tensor& a, const Tensor& mask,
-                            const std::vector<int>& sizes);
+/// Per-edge outer sum: out[e] = dst_term[i] + src_term[src[e]] for every edge
+/// e into node i. Both terms hold one value per node (rank-1, (n,1) or
+/// (1,n)). The GAT score of paper Eq. (3).
+Tensor EdgeScores(const Tensor& dst_term, const Tensor& src_term,
+                  const CsrIndexPtr& csr);
 
-/// Block-diagonal attention-times-value product: `attn` is packed
-/// block-diagonal (sum(sizes[g]^2)), `b` is flat (sum(sizes), d);
-/// out rows of block g = attn(g) (n_g, n_g) * b(g) (n_g, d), stacked to
-/// (sum(sizes), d). Runs the packed GEMM core per block, so each block is
-/// bit-identical to Matmul on the same operands.
-Tensor BlockDiagMatmul(const Tensor& attn, const Tensor& b,
-                       const std::vector<int>& sizes);
+/// Softmax of per-edge values over each node's in-edges.
+Tensor EdgeSoftmax(const Tensor& scores, const CsrIndexPtr& csr);
+
+/// Weighted sparse aggregate: out[i, :] = sum over the edges e into i of
+/// values[e] * h[src[e], :], shape (num_nodes, d). Gradients flow into both
+/// the edge values and h.
+Tensor SpMM(const Tensor& values, const Tensor& h, const CsrIndexPtr& csr);
 
 // ----- Fused broadcast ops (attention hot path) ------------------------------
-
-/// Outer sum: out[i,j] = col[i] + row[j] -> (n,m). `col` is rank-1 (n) or
-/// (n,1); `row` is rank-1 (m) or (1,m). Replaces the
-/// Add(Add(Zeros(n,m), col), row) chain of the GAT score matrix.
-Tensor AddRowCol(const Tensor& col, const Tensor& row);
 
 /// out[i,:] = a[i,:] + row -> same shape as `a` ((n,d) or rank-1 (d)).
 /// Single-pass row broadcast (bias add, key/query sums).
@@ -116,11 +107,6 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& row);
 /// padded key block — without materialising a (batch*block, d) expansion of
 /// `rows` (the batched counterpart of AddRowBroadcast).
 Tensor AddBlockBroadcast(const Tensor& a, const Tensor& rows, int block);
-
-/// Row softmax of (a + mask) in one pass, without materialising the masked
-/// logits. `mask` is an additive no-grad constant of a's shape (use -1e9 to
-/// forbid positions, e.g. DenseGraph::neg_mask).
-Tensor MaskedSoftmaxRows(const Tensor& a, const Tensor& mask);
 
 /// Length-masked row softmax: row i is the softmax of its first valid[i]
 /// entries (bit-identical to SoftmaxRows over that prefix), with the

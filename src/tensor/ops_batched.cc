@@ -7,17 +7,14 @@
 #include "src/tensor/ops.h"
 
 /// \file ops_batched.cc
-/// Batch-aware masked ops for the padded forward path (padded_batch.h) and
-/// the ragged block-diagonal GAT path (nn/graph.h BatchedDenseGraph):
+/// Batch-aware masked ops for the padded forward path (padded_batch.h):
 /// block-diagonal GEMMs over the leading dim, length-masked softmax, masked
-/// segment pooling, the ragged<->padded layout converters, and the packed
-/// block-diagonal score/softmax/attention ops for batched sub-graph
-/// attention. Each op is bit-identical to its per-sample counterpart on the
-/// same block (same kernels, same accumulation order); the only rounding the
-/// batched forward path introduces comes from fat same-weight GEMMs running
-/// at different heights than their per-sample equivalents (FMA contraction
-/// in the row-peel kernels), bounded by ~1e-6 in the encoder equivalence
-/// tests.
+/// segment pooling and the ragged<->padded layout converters. Each op is
+/// bit-identical to its per-sample counterpart on the same block (same
+/// kernels, same accumulation order); the only rounding the batched forward
+/// path introduces comes from fat same-weight GEMMs running at different
+/// heights than their per-sample equivalents (FMA contraction in the
+/// row-peel kernels), bounded by ~1e-6 in the encoder equivalence tests.
 
 namespace rntraj {
 
@@ -116,203 +113,6 @@ Tensor BatchedMatmulTransB(const Tensor& a, const Tensor& b, int batch) {
                 ga, ai->data.data() + static_cast<size_t>(s) * m * k,
                 bi->grad.data() + static_cast<size_t>(s) * n * k, n, m, k);
           }
-        }
-      });
-  return Tensor(out);
-}
-
-namespace {
-
-// Validates the packed block-diagonal layout shared by the ragged-block ops:
-// per-graph node counts in `sizes`, flat nodes = sum(sizes), packed entries =
-// sum(sizes^2). Returns both totals through the out-params.
-void CheckPackedBlocks(const std::vector<int>& sizes, const char* op,
-                       int* total_nodes, int* total_entries) {
-  int nodes = 0;
-  int entries = 0;
-  for (int s : sizes) {
-    RNTRAJ_CHECK_MSG(s >= 0, op << ": negative block size " << s);
-    nodes += s;
-    entries += s * s;
-  }
-  *total_nodes = nodes;
-  *total_entries = entries;
-}
-
-}  // namespace
-
-Tensor AddRowColBlocks(const Tensor& col, const Tensor& row,
-                       const std::vector<int>& sizes) {
-  auto ci = col.impl();
-  auto ri = row.impl();
-  int total_nodes, total_entries;
-  CheckPackedBlocks(sizes, "add_row_col_blocks", &total_nodes, &total_entries);
-  RNTRAJ_CHECK_MSG(ci->size() == total_nodes && ri->size() == total_nodes,
-                   "add_row_col_blocks: col/row sizes "
-                       << ci->size() << "/" << ri->size() << " vs "
-                       << total_nodes << " nodes");
-
-  auto out = internal::NewImplUninit({total_entries});
-  {
-    const float* c = ci->data.data();
-    const float* r = ri->data.data();
-    float* y = out->data.data();
-    int node = 0;
-    for (int s : sizes) {
-      for (int i = 0; i < s; ++i) {
-        const float ci_val = c[node + i];
-#pragma GCC ivdep
-        for (int j = 0; j < s; ++j) y[j] = ci_val + r[node + j];
-        y += s;
-      }
-      node += s;
-    }
-  }
-
-  internal::AttachNode(
-      "add_row_col_blocks", out, {ci, ri}, [ci, ri, sizes](const TensorImpl& o) {
-        const float* g = o.grad.data();
-        int node = 0;
-        for (int s : sizes) {
-          for (int i = 0; i < s; ++i) {
-            if (ci->requires_grad) {
-              ci->EnsureGrad();
-              float acc = 0.0f;
-              for (int j = 0; j < s; ++j) acc += g[j];
-              ci->grad[static_cast<size_t>(node) + i] += acc;
-            }
-            if (ri->requires_grad) {
-              ri->EnsureGrad();
-              float* gr = ri->grad.data() + node;
-#pragma GCC ivdep
-              for (int j = 0; j < s; ++j) gr[j] += g[j];
-            }
-            g += s;
-          }
-          node += s;
-        }
-      });
-  return Tensor(out);
-}
-
-Tensor SegmentMaskedSoftmax(const Tensor& a, const Tensor& mask,
-                            const std::vector<int>& sizes) {
-  auto ai = a.impl();
-  auto mi = mask.impl();
-  int total_nodes, total_entries;
-  CheckPackedBlocks(sizes, "segment_masked_softmax", &total_nodes,
-                    &total_entries);
-  RNTRAJ_CHECK_MSG(ai->size() == total_entries,
-                   "segment_masked_softmax: " << ai->size() << " entries vs "
-                                              << total_entries << " packed");
-  RNTRAJ_CHECK_MSG(mi->size() == total_entries,
-                   "segment_masked_softmax: mask size mismatch");
-  // Connectivity is a constant, exactly as in MaskedSoftmaxRows.
-  RNTRAJ_CHECK_MSG(!mi->requires_grad,
-                   "segment_masked_softmax: mask must not require grad");
-
-  auto out = internal::NewImplUninit({total_entries});
-  {
-    const float* x = ai->data.data();
-    const float* mk = mi->data.data();
-    float* y = out->data.data();
-    for (int s : sizes) {
-      for (int i = 0; i < s; ++i) {
-        // The MaskedSoftmaxRows pipeline on one width-s row: masked logits
-        // built into the output row, vectorised exp in place. Bit-identical
-        // to the per-graph op on the same block.
-#pragma GCC ivdep
-        for (int j = 0; j < s; ++j) y[j] = x[j] + mk[j];
-        const float mx = internal::RowMax(y, s);
-        const float sum = internal::ExpRowMinusMax(y, y, s, mx);
-        const float inv = 1.0f / sum;
-#pragma GCC ivdep
-        for (int j = 0; j < s; ++j) y[j] *= inv;
-        x += s;
-        mk += s;
-        y += s;
-      }
-    }
-  }
-
-  // Same per-row Jacobian as SoftmaxRows; the mask only shifts logits.
-  internal::AttachNode(
-      "segment_masked_softmax", out, {ai, mi}, [ai, sizes](const TensorImpl& o) {
-        if (!ai->requires_grad) return;
-        ai->EnsureGrad();
-        const float* y = o.data.data();
-        const float* g = o.grad.data();
-        float* ga = ai->grad.data();
-        for (int s : sizes) {
-          for (int i = 0; i < s; ++i) {
-            double dot = 0.0;
-            for (int j = 0; j < s; ++j) dot += g[j] * y[j];
-            for (int j = 0; j < s; ++j) {
-              ga[j] += (g[j] - static_cast<float>(dot)) * y[j];
-            }
-            y += s;
-            g += s;
-            ga += s;
-          }
-        }
-      });
-  return Tensor(out);
-}
-
-Tensor BlockDiagMatmul(const Tensor& attn, const Tensor& b,
-                       const std::vector<int>& sizes) {
-  auto ai = attn.impl();
-  auto bi = b.impl();
-  int total_nodes, total_entries;
-  CheckPackedBlocks(sizes, "block_diag_matmul", &total_nodes, &total_entries);
-  RNTRAJ_CHECK_MSG(ai->size() == total_entries,
-                   "block_diag_matmul: " << ai->size() << " entries vs "
-                                         << total_entries << " packed");
-  RNTRAJ_CHECK_MSG(bi->shape.size() == 2 && bi->shape[0] == total_nodes,
-                   "block_diag_matmul: b rows "
-                       << bi->shape[0] << " vs " << total_nodes << " nodes");
-  const int d = bi->shape[1];
-
-  auto out = internal::NewImpl({total_nodes, d});
-  {
-    int node = 0;
-    int entry = 0;
-    for (int s : sizes) {
-      if (s > 0) {
-        internal::GemmAcc(ai->data.data() + entry,
-                          bi->data.data() + static_cast<size_t>(node) * d,
-                          out->data.data() + static_cast<size_t>(node) * d, s,
-                          s, d);
-      }
-      node += s;
-      entry += s * s;
-    }
-  }
-
-  internal::AttachNode(
-      "block_diag_matmul", out, {ai, bi}, [ai, bi, sizes, d](const TensorImpl& o) {
-        int node = 0;
-        int entry = 0;
-        for (int s : sizes) {
-          if (s > 0) {
-            const float* gc = o.grad.data() + static_cast<size_t>(node) * d;
-            if (ai->requires_grad) {
-              ai->EnsureGrad();
-              // dAttn(g)(s,s) = dC(g)(s,d) * B(g)(s,d)^T
-              internal::GemmTransBAcc(
-                  gc, bi->data.data() + static_cast<size_t>(node) * d,
-                  ai->grad.data() + entry, s, d, s);
-            }
-            if (bi->requires_grad) {
-              bi->EnsureGrad();
-              // dB(g)(s,d) = Attn(g)(s,s)^T * dC(g)(s,d)
-              internal::GemmTransAAcc(
-                  ai->data.data() + entry, gc,
-                  bi->grad.data() + static_cast<size_t>(node) * d, s, s, d);
-            }
-          }
-          node += s;
-          entry += s * s;
         }
       });
   return Tensor(out);

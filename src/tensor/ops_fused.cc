@@ -1,30 +1,13 @@
-#include <algorithm>
-#include <cmath>
-
-#include "src/tensor/fast_math.h"
 #include "src/tensor/op_helpers.h"
 #include "src/tensor/ops.h"
 
 /// \file ops_fused.cc
-/// Fused broadcast primitives for the attention hot paths. Each op replaces a
-/// chain of generic broadcast ops (and their intermediate n*m tensors) with a
-/// single pass over the output.
+/// The fused row broadcast of the bias-add and attention hot paths: one pass
+/// over the output instead of a generic broadcast chain.
 
 namespace rntraj {
 
 namespace {
-
-// Accepts a rank-1 (n) or rank-2 (n,1) column vector; returns n.
-int ColumnLength(const TensorImpl& t, const char* op) {
-  if (t.shape.size() == 1) return t.shape[0];
-  // Streamed piecewise (no string concatenation: GCC 12's -Wrestrict trips
-  // on the temporary-string insert pattern the old message used).
-  RNTRAJ_CHECK_MSG(t.shape.size() == 2 && t.shape[1] == 1,
-                   op << ": expected column vector (n) or (n,1), got rank-"
-                      << t.shape.size() << " tensor with "
-                      << (t.shape.size() == 2 ? t.shape[1] : -1) << " cols");
-  return t.shape[0];
-}
 
 // Accepts a rank-1 (m) or rank-2 (1,m) row vector; returns m.
 int RowLength(const TensorImpl& t, const char* op) {
@@ -36,46 +19,6 @@ int RowLength(const TensorImpl& t, const char* op) {
 }
 
 }  // namespace
-
-Tensor AddRowCol(const Tensor& col, const Tensor& row) {
-  auto ci = col.impl();
-  auto ri = row.impl();
-  const int n = ColumnLength(*ci, "add_row_col");
-  const int m = RowLength(*ri, "add_row_col");
-
-  auto out = internal::NewImplUninit({n, m});
-  const float* u = ci->data.data();
-  const float* v = ri->data.data();
-  for (int i = 0; i < n; ++i) {
-    float* orow = out->data.data() + static_cast<size_t>(i) * m;
-    const float ui = u[i];
-#pragma GCC ivdep
-    for (int j = 0; j < m; ++j) orow[j] = ui + v[j];
-  }
-
-  internal::AttachNode(
-      "add_row_col", out, {ci, ri}, [ci, ri, n, m](const TensorImpl& o) {
-        if (ci->requires_grad) {
-          ci->EnsureGrad();
-          for (int i = 0; i < n; ++i) {
-            const float* grow = o.grad.data() + static_cast<size_t>(i) * m;
-            float acc = 0.0f;
-            for (int j = 0; j < m; ++j) acc += grow[j];
-            ci->grad[i] += acc;
-          }
-        }
-        if (ri->requires_grad) {
-          ri->EnsureGrad();
-          float* gv = ri->grad.data();
-          for (int i = 0; i < n; ++i) {
-            const float* grow = o.grad.data() + static_cast<size_t>(i) * m;
-#pragma GCC ivdep
-            for (int j = 0; j < m; ++j) gv[j] += grow[j];
-          }
-        }
-      });
-  return Tensor(out);
-}
 
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& row) {
   auto ai = a.impl();
@@ -112,55 +55,6 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& row) {
             const float* grow = o.grad.data() + static_cast<size_t>(i) * d;
 #pragma GCC ivdep
             for (int j = 0; j < d; ++j) gv[j] += grow[j];
-          }
-        }
-      });
-  return Tensor(out);
-}
-
-Tensor MaskedSoftmaxRows(const Tensor& a, const Tensor& mask) {
-  auto ai = a.impl();
-  auto mi = mask.impl();
-  RNTRAJ_CHECK(ai->shape.size() == 2);
-  RNTRAJ_CHECK_MSG(mi->shape == ai->shape,
-                   "masked_softmax_rows: mask shape mismatch");
-  // The mask is an additive constant (graph connectivity / causal structure),
-  // not a learnable input; its gradient is never needed and the backward
-  // below does not produce one.
-  RNTRAJ_CHECK_MSG(!mi->requires_grad,
-                   "masked_softmax_rows: mask must not require grad");
-  const int n = ai->shape[0];
-  const int d = ai->shape[1];
-
-  auto out = internal::NewImplUninit(ai->shape);
-  for (int i = 0; i < n; ++i) {
-    const float* x = ai->data.data() + static_cast<size_t>(i) * d;
-    const float* mk = mi->data.data() + static_cast<size_t>(i) * d;
-    float* y = out->data.data() + static_cast<size_t>(i) * d;
-    // One pass builds the masked logits directly into the output row; the
-    // vectorised exp then runs in place.
-#pragma GCC ivdep
-    for (int j = 0; j < d; ++j) y[j] = x[j] + mk[j];
-    const float mx = internal::RowMax(y, d);
-    const float sum = internal::ExpRowMinusMax(y, y, d, mx);
-    const float inv = 1.0f / sum;
-#pragma GCC ivdep
-    for (int j = 0; j < d; ++j) y[j] *= inv;
-  }
-
-  // Same Jacobian as SoftmaxRows: the additive mask shifts logits only.
-  internal::AttachNode(
-      "masked_softmax_rows", out, {ai, mi}, [ai, n, d](const TensorImpl& o) {
-        if (!ai->requires_grad) return;
-        ai->EnsureGrad();
-        for (int i = 0; i < n; ++i) {
-          const float* y = o.data.data() + static_cast<size_t>(i) * d;
-          const float* g = o.grad.data() + static_cast<size_t>(i) * d;
-          float* ga = ai->grad.data() + static_cast<size_t>(i) * d;
-          double dot = 0.0;
-          for (int j = 0; j < d; ++j) dot += g[j] * y[j];
-          for (int j = 0; j < d; ++j) {
-            ga[j] += (g[j] - static_cast<float>(dot)) * y[j];
           }
         }
       });

@@ -123,26 +123,35 @@ TEST_F(CoreFixture, GridGnnVariantsProduceSameShape) {
   }
 }
 
-std::vector<Tensor> RandomZ(const std::vector<DenseGraph>& graphs, int dim) {
+// One sub-graph: its node count and (src, dst) edges.
+struct SubGraph {
+  int n;
+  std::vector<std::pair<int, int>> edges;
+};
+
+std::vector<Tensor> RandomZ(const std::vector<SubGraph>& graphs, int dim) {
   std::vector<Tensor> z;
   for (const auto& g : graphs) z.push_back(Tensor::Randn({g.n, dim}, 1.0f));
   return z;
 }
 
-std::vector<const DenseGraph*> GraphPtrs(
-    const std::vector<DenseGraph>& graphs) {
-  std::vector<const DenseGraph*> ptrs;
+CsrGraph BatchGraph(const std::vector<const SubGraph*>& graphs) {
+  CsrGraphBuilder builder;
+  for (const SubGraph* g : graphs) builder.Add(g->n, g->edges);
+  return builder.Build();
+}
+
+CsrGraph BatchGraph(const std::vector<SubGraph>& graphs) {
+  std::vector<const SubGraph*> ptrs;
   for (const auto& g : graphs) ptrs.push_back(&g);
-  return ptrs;
+  return BatchGraph(ptrs);
 }
 
 TEST(GrlTest, PreservesShapesAcrossVariants) {
   SeedGlobalRng(33);
-  std::vector<DenseGraph> graphs;
-  graphs.push_back(BuildDenseGraph(3, {{0, 1}, {1, 2}}));
-  graphs.push_back(BuildDenseGraph(2, {{0, 1}}));
-  graphs.push_back(BuildDenseGraph(4, {{0, 1}, {2, 3}, {1, 2}}));
-  const BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
+  const std::vector<SubGraph> graphs = {
+      {3, {{0, 1}, {1, 2}}}, {2, {{0, 1}}}, {4, {{0, 1}, {2, 3}, {1, 2}}}};
+  const CsrGraph bg = BatchGraph(graphs);
 
   for (int variant = 0; variant < 4; ++variant) {
     GrlConfig cfg;
@@ -161,16 +170,14 @@ TEST(GrlTest, PreservesShapesAcrossVariants) {
 
 TEST(GrlTest, GradientsReachGatedFusionParams) {
   SeedGlobalRng(34);
-  std::vector<DenseGraph> graphs;
-  graphs.push_back(BuildDenseGraph(3, {{0, 1}}));
-  graphs.push_back(BuildDenseGraph(2, {}));
+  const std::vector<SubGraph> graphs = {{3, {{0, 1}}}, {2, {}}};
   GrlConfig cfg;
   cfg.dim = 8;
   cfg.heads = 2;
   GraphRefinementLayer grl(cfg);
   Tensor tr = Tensor::Randn({2, 8}, 1.0f);
   Tensor out = grl.ForwardBatch(tr, ConcatRows(RandomZ(graphs, 8)),
-                                BuildBatchedDenseGraph(GraphPtrs(graphs)), {2});
+                                BatchGraph(graphs), {2});
   MeanAll(Square(out)).Backward();
   bool any = false;
   for (auto& [name, p] : grl.NamedParameters()) {
@@ -187,16 +194,15 @@ TEST(GrlTest, GradientsReachGatedFusionParams) {
 // (denser 4-node graph + chain), sample 2 one (a 2-node edge).
 struct RaggedGrlSamples {
   static constexpr int kDim = 8;
-  std::vector<std::vector<DenseGraph>> graphs;
+  std::vector<std::vector<SubGraph>> graphs;
   std::vector<Tensor> tr;  ///< Per sample (l_s, d): encoder rows / h0.
   std::vector<Tensor> z;   ///< Per sample (sum of its graph sizes, d).
 
   RaggedGrlSamples() {
-    graphs.push_back({BuildDenseGraph(1, {}), BuildDenseGraph(2, {}),
-                      BuildDenseGraph(3, {{0, 1}, {1, 2}})});
-    graphs.push_back({BuildDenseGraph(4, {{0, 1}, {2, 3}, {1, 2}, {0, 3}}),
-                      BuildDenseGraph(3, {{2, 1}, {1, 0}})});
-    graphs.push_back({BuildDenseGraph(2, {{0, 1}})});
+    graphs.push_back({{1, {}}, {2, {}}, {3, {{0, 1}, {1, 2}}}});
+    graphs.push_back({{4, {{0, 1}, {2, 3}, {1, 2}, {0, 3}}},
+                      {3, {{2, 1}, {1, 0}}}});
+    graphs.push_back({{2, {{0, 1}}}});
     for (const auto& gs : graphs) {
       tr.push_back(Tensor::Randn({static_cast<int>(gs.size()), kDim}, 1.0f));
       z.push_back(ConcatRows(RandomZ(gs, kDim)));
@@ -210,22 +216,22 @@ struct RaggedGrlSamples {
     Tensor tr;
     Tensor z;
     std::vector<int> lengths;
-    BatchedDenseGraph graphs;
+    CsrGraph graphs;
   };
   Batch Pack(const std::vector<int>& order) const {
     Batch b;
     std::vector<Tensor> tr_parts;
     std::vector<Tensor> z_parts;
-    std::vector<const DenseGraph*> flat;
+    std::vector<const SubGraph*> flat;
     for (int s : order) {
       tr_parts.push_back(tr[s]);
       z_parts.push_back(z[s]);
       b.lengths.push_back(static_cast<int>(graphs[s].size()));
-      for (const DenseGraph& g : graphs[s]) flat.push_back(&g);
+      for (const SubGraph& g : graphs[s]) flat.push_back(&g);
     }
     b.tr = ConcatRows(tr_parts);
     b.z = ConcatRows(z_parts);
-    b.graphs = BuildBatchedDenseGraph(flat);
+    b.graphs = BatchGraph(flat);
     return b;
   }
 
@@ -248,7 +254,7 @@ void ExpectRowsNear(const Tensor& got, int row, const Tensor& want, double tol,
 
 TEST(GrlTest, ForwardBatchIsBatchCompositionInvariant) {
   // Each sample alone (B=1) vs inside a ragged, permuted batch of three: the
-  // fat fusion GEMMs, the block-diagonal GAT pass and the per-sample
+  // fat fusion GEMMs, the one GAT pass over the batch graph and the per-sample
   // GraphNorm must leave every node feature unchanged, in training mode
   // (per-sample batch statistics) and eval mode (running statistics),
   // across all ablation variants.
@@ -268,7 +274,7 @@ TEST(GrlTest, ForwardBatchIsBatchCompositionInvariant) {
 
       const RaggedGrlSamples::Batch b = samples.Pack(permuted);
       Tensor out = grl.ForwardBatch(b.tr, b.z, b.graphs, b.lengths);
-      ASSERT_EQ(out.dim(0), b.graphs.total_nodes);
+      ASSERT_EQ(out.dim(0), b.graphs.num_nodes());
       int node = 0;
       for (int s : permuted) {
         const RaggedGrlSamples::Batch one = samples.Pack({s});
@@ -284,7 +290,7 @@ TEST(GrlTest, ForwardBatchIsBatchCompositionInvariant) {
 }
 
 TEST(GpsFormerTest, ForwardBatchIsBatchCompositionInvariant) {
-  // Full encoder: padded transformer half + block-diagonal batched GAT half,
+  // Full encoder: padded transformer half + batch-graph GAT half,
   // each sample alone vs inside a ragged, permuted batch, for both pooled
   // outputs (H^N) and final node features (Z^N).
   SeedGlobalRng(65);
@@ -303,7 +309,7 @@ TEST(GpsFormerTest, ForwardBatchIsBatchCompositionInvariant) {
   GpsFormer::BatchOutput out =
       former.ForwardBatch(b.tr, b.lengths, b.z, b.graphs);
   ASSERT_EQ(out.h.dim(0), 3 + 2 + 1);  // sum of lengths
-  ASSERT_EQ(out.z.dim(0), b.graphs.total_nodes);
+  ASSERT_EQ(out.z.dim(0), b.graphs.num_nodes());
 
   int row = 0;
   int node = 0;
@@ -323,10 +329,8 @@ TEST(GpsFormerTest, ForwardBatchIsBatchCompositionInvariant) {
 
 TEST(GpsFormerTest, OutputShapesAndNoGrlPath) {
   SeedGlobalRng(35);
-  std::vector<DenseGraph> graphs;
-  graphs.push_back(BuildDenseGraph(3, {{0, 1}}));
-  graphs.push_back(BuildDenseGraph(2, {}));
-  const BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
+  const std::vector<SubGraph> graphs = {{3, {{0, 1}}}, {2, {}}};
+  const CsrGraph bg = BatchGraph(graphs);
   for (bool use_grl : {true, false}) {
     GpsFormerConfig cfg;
     cfg.dim = 8;
@@ -685,6 +689,41 @@ void ExpectSameRecovery(const MatchedTrajectory& got,
     EXPECT_NEAR(got.points[j].ratio, want.points[j].ratio, 1e-5)
         << what << " step " << j;
   }
+}
+
+TEST_F(CoreFixture, PointFarFromEveryRoadKeepsAnswersFinite) {
+  // One input point 1 km beyond the network: every segment weight
+  // exp(-(d/gamma)^2) underflows to 0 there, so sub-graph pooling must not
+  // divide by their sum. The answer stays well formed and a batch neighbour
+  // is untouched.
+  SeedGlobalRng(47);
+  RnTrajRec model(SmallConfig(), *ctx_);
+  const BBox& b = ctx_->rn->bounds();
+  const Vec2 far_point{b.max_x + 1000.0, b.max_y + 1000.0};
+  ASSERT_GT(SegmentsWithinRadius(*ctx_->rn, *ctx_->rtree, far_point, 100.0)[0]
+                .projection.distance,
+            1000.0);
+  TrajectorySample far = dataset_->test()[0];
+  far.uid = -1;  // bypass the per-sample memo of the unaltered sample
+  far.input.points[2].pos = far_point;
+  const TrajectorySample& neighbour = dataset_->test()[1];
+
+  model.SetTrainingMode(false);
+  model.BeginInference();
+  const MatchedTrajectory alone = model.Recover(neighbour);
+  const std::vector<MatchedTrajectory> both =
+      model.RecoverBatch({&far, &neighbour});
+  ASSERT_EQ(both[0].size(), far.truth.size());
+  for (const auto& p : both[0].points) {
+    EXPECT_TRUE(std::isfinite(p.ratio));
+    EXPECT_GE(p.seg_id, 0);
+    EXPECT_LT(p.seg_id, ctx_->rn->num_segments());
+  }
+  ExpectSameRecovery(both[1], alone, "batch neighbour");
+
+  model.SetTrainingMode(true);
+  model.BeginBatch();
+  EXPECT_TRUE(std::isfinite(model.TrainLoss(far).item()));
 }
 
 TEST_F(CoreFixture, RecoverIsBatchCompositionInvariant) {

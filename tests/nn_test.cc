@@ -485,178 +485,132 @@ TEST(TransformerTest, PositionEncodingRangeAndDistinctRows) {
   EXPECT_TRUE(any_diff);
 }
 
-DenseGraph ChainGraph(int n) {
+CsrGraph ChainGraph(int n, EdgeWeights weights = EdgeWeights::kNone) {
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
-  return BuildDenseGraph(n, edges);
+  return BuildCsrGraph(n, edges, weights);
 }
 
-TEST(DenseGraphTest, MasksMatchEdges) {
-  DenseGraph g = ChainGraph(3);  // 0->1->2 plus self loops
-  // Row 1 (node 1) may attend to {0 (pred), 1 (self)} but not 2.
-  EXPECT_EQ(g.adj_self.at(1, 0), 1.0f);
-  EXPECT_EQ(g.adj_self.at(1, 1), 1.0f);
-  EXPECT_EQ(g.adj_self.at(1, 2), 0.0f);
-  EXPECT_EQ(g.neg_mask.at(1, 2), -1e9f);
-  EXPECT_EQ(g.adj_noself.at(1, 1), 0.0f);
-  EXPECT_EQ(g.adj_noself.at(1, 0), 1.0f);
+// Sources of node i's in-edges, in CSR order.
+std::vector<int> InEdges(const CsrGraph& g, int i) {
+  const CsrIndex& csr = *g.csr;
+  return std::vector<int>(csr.src.begin() + csr.offsets[i],
+                          csr.src.begin() + csr.offsets[i + 1]);
 }
 
-TEST(DenseGraphTest, GcnNormRowsAreFinite) {
-  DenseGraph g = ChainGraph(4);
-  for (float v : g.gcn_norm.data()) {
-    EXPECT_TRUE(std::isfinite(v));
-    EXPECT_GE(v, 0.0f);
-  }
+const std::vector<std::pair<int, int>> kFiveNodeEdges = {
+    {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 3}, {2, 0}};
+
+TEST(CsrGraphTest, RowsHoldSelfLoopAndPredecessorsSorted) {
+  CsrGraph g = BuildCsrGraph(5, kFiveNodeEdges);
+  EXPECT_EQ(g.num_nodes(), 5);
+  EXPECT_EQ(g.num_edges(), 5 + 7);
+  EXPECT_EQ(g.sizes, std::vector<int>({5}));
+  EXPECT_EQ(g.weights, EdgeWeights::kNone);
+  EXPECT_FALSE(g.weight.defined());
+  // (src, dst): dst aggregates from src.
+  EXPECT_EQ(InEdges(g, 0), std::vector<int>({0, 2, 4}));
+  EXPECT_EQ(InEdges(g, 1), std::vector<int>({0, 1}));
+  EXPECT_EQ(InEdges(g, 2), std::vector<int>({1, 2}));
+  EXPECT_EQ(InEdges(g, 3), std::vector<int>({0, 2, 3}));
+  EXPECT_EQ(InEdges(g, 4), std::vector<int>({3, 4}));
 }
 
-TEST(DenseGraphTest, BuildDenseGraphInvariants) {
-  // Property test over a non-trivial directed graph: every mask BuildDenseGraph
-  // emits must stay mutually consistent (previously only exercised indirectly
-  // through layer outputs).
-  const int n = 5;
-  const std::vector<std::pair<int, int>> edges = {
-      {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 3}, {2, 0}};
-  DenseGraph g = BuildDenseGraph(n, edges);
+TEST(CsrGraphTest, GcnNormUsesInDegreeOnBothSides) {
+  // The one directed edge 1<-0: deg(1) = 2 (edge + self-loop), deg(0) = 1.
+  // A symmetric normaliser over the symmetrised adjacency would give 1/2.
+  CsrGraph pair = BuildCsrGraph(2, {{0, 1}}, EdgeWeights::kGcnNorm);
+  ASSERT_EQ(InEdges(pair, 1), std::vector<int>({0, 1}));
+  const int edge_1_from_0 = pair.csr->offsets[1];
+  EXPECT_FLOAT_EQ(pair.weight.at(edge_1_from_0), 1.0f / std::sqrt(2.0f));
+  EXPECT_FLOAT_EQ(pair.weight.at(edge_1_from_0 + 1), 0.5f);  // self-loop of 1
+  EXPECT_FLOAT_EQ(pair.weight.at(0), 1.0f);                  // self-loop of 0
 
-  std::vector<float> deg(n, 0.0f);
-  for (int i = 0; i < n; ++i) {
-    // Self-loops: every node attends to itself.
-    EXPECT_EQ(g.adj_self.at(i, i), 1.0f) << "node " << i;
-    EXPECT_EQ(g.neg_mask.at(i, i), 0.0f) << "node " << i;
-    EXPECT_EQ(g.adj_noself.at(i, i), 0.0f) << "node " << i;
-    for (int j = 0; j < n; ++j) {
-      const float a = g.adj_self.at(i, j);
-      EXPECT_TRUE(a == 0.0f || a == 1.0f) << "(" << i << "," << j << ")";
-      // Mask/adjacency consistency: attendable exactly where adjacent.
-      EXPECT_EQ(g.neg_mask.at(i, j), a == 1.0f ? 0.0f : -1e9f)
-          << "(" << i << "," << j << ")";
-      // adj_noself is adj_self with the diagonal removed.
-      EXPECT_EQ(g.adj_noself.at(i, j), i == j ? 0.0f : a)
-          << "(" << i << "," << j << ")";
-      // gcn_norm support matches adj_self support.
-      EXPECT_EQ(g.gcn_norm.at(i, j) != 0.0f, a != 0.0f)
-          << "(" << i << "," << j << ")";
-      deg[i] += a;
+  // Every weight is 1/sqrt(deg(dst) deg(src)) over a larger directed graph.
+  CsrGraph g = BuildCsrGraph(5, kFiveNodeEdges, EdgeWeights::kGcnNorm);
+  const CsrIndex& csr = *g.csr;
+  auto deg = [&](int i) {
+    return static_cast<float>(csr.offsets[i + 1] - csr.offsets[i]);
+  };
+  for (int i = 0; i < 5; ++i) {
+    for (int e = csr.offsets[i]; e < csr.offsets[i + 1]; ++e) {
+      EXPECT_FLOAT_EQ(g.weight.at(e),
+                      1.0f / std::sqrt(deg(i) * deg(csr.src[e])))
+          << "edge " << e;
     }
   }
-  // Edge rows: (src, dst) means dst aggregates from src.
-  for (const auto& [src, dst] : edges) {
-    EXPECT_EQ(g.adj_self.at(dst, src), 1.0f) << src << "->" << dst;
-  }
-  // gcn_norm is exactly D^-1/2 (A+I) D^-1/2 over the row degrees. Its row
-  // sums are bounded: each of the deg_i nonzero terms is at most
-  // 1/sqrt(deg_i) (deg_j >= 1 from the self-loop), so
-  // 0 < row_sum <= sqrt(deg_i), with equality at 1 for degree-regular rows.
-  for (int i = 0; i < n; ++i) {
-    float row_sum = 0.0f;
-    for (int j = 0; j < n; ++j) {
-      const float want = g.adj_self.at(i, j) / std::sqrt(deg[i] * deg[j]);
-      EXPECT_FLOAT_EQ(g.gcn_norm.at(i, j), want) << "(" << i << "," << j << ")";
-      row_sum += g.gcn_norm.at(i, j);
-    }
-    EXPECT_GT(row_sum, 0.0f);
-    EXPECT_LE(row_sum, std::sqrt(deg[i]) + 1e-6f) << "row " << i;
-  }
-  // Degree-regular case: complete-graph rows sum to exactly 1.
+  // Degree-regular case: complete-graph rows sum to 1.
   std::vector<std::pair<int, int>> complete;
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
       if (i != j) complete.push_back({i, j});
     }
   }
-  DenseGraph k3 = BuildDenseGraph(3, complete);
+  CsrGraph k3 = BuildCsrGraph(3, complete, EdgeWeights::kGcnNorm);
   for (int i = 0; i < 3; ++i) {
     float row_sum = 0.0f;
-    for (int j = 0; j < 3; ++j) row_sum += k3.gcn_norm.at(i, j);
+    for (int e = k3.csr->offsets[i]; e < k3.csr->offsets[i + 1]; ++e) {
+      row_sum += k3.weight.at(e);
+    }
     EXPECT_NEAR(row_sum, 1.0f, 1e-6f) << "row " << i;
   }
 }
 
-// The ragged graph mix every BatchedDenseGraph test below uses: a 1-node
-// sub-graph, an edge-less (self-loops only) pair, a chain, and a denser
-// 4-node graph — the shapes the serving sub-graph extractor produces.
-std::vector<DenseGraph> RaggedGraphs() {
-  std::vector<DenseGraph> graphs;
-  graphs.push_back(BuildDenseGraph(1, {}));
-  graphs.push_back(BuildDenseGraph(2, {}));
-  graphs.push_back(BuildDenseGraph(3, {{0, 1}, {1, 2}}));
-  graphs.push_back(BuildDenseGraph(4, {{0, 1}, {2, 3}, {1, 2}, {0, 3}}));
-  return graphs;
-}
-
-std::vector<const DenseGraph*> GraphPtrs(const std::vector<DenseGraph>& graphs) {
-  std::vector<const DenseGraph*> ptrs;
-  for (const auto& g : graphs) ptrs.push_back(&g);
-  return ptrs;
-}
-
-TEST(BatchedDenseGraphTest, PackedBlocksMatchPerGraphMasks) {
-  std::vector<DenseGraph> graphs = RaggedGraphs();
-  BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
-
-  ASSERT_EQ(bg.num_graphs, 4);
-  EXPECT_EQ(bg.total_nodes, 1 + 2 + 3 + 4);
-  EXPECT_EQ(bg.total_entries, 1 + 4 + 9 + 16);
-  ASSERT_EQ(static_cast<int>(bg.sizes.size()), 4);
-  int node = 0;
-  int entry = 0;
-  for (size_t g = 0; g < graphs.size(); ++g) {
-    const int n = graphs[g].n;
-    EXPECT_EQ(bg.sizes[g], n);
-    EXPECT_EQ(bg.node_offsets[g], node);
-    EXPECT_EQ(bg.entry_offsets[g], entry);
-    // The packed block is that graph's mask, bit for bit.
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        EXPECT_EQ(bg.neg_mask.at(entry + i * n + j), graphs[g].neg_mask.at(i, j))
-            << "graph " << g << " (" << i << "," << j << ")";
-        EXPECT_EQ(bg.adj_self.at(entry + i * n + j), graphs[g].adj_self.at(i, j))
-            << "graph " << g << " (" << i << "," << j << ")";
-      }
+TEST(CsrGraphTest, NeighbourWeightsZeroOnlySelfLoops) {
+  CsrGraph g = BuildCsrGraph(5, kFiveNodeEdges, EdgeWeights::kNeighbours);
+  const CsrIndex& csr = *g.csr;
+  for (int i = 0; i < 5; ++i) {
+    for (int e = csr.offsets[i]; e < csr.offsets[i + 1]; ++e) {
+      EXPECT_EQ(g.weight.at(e), csr.src[e] == i ? 0.0f : 1.0f) << "edge " << e;
     }
-    node += n;
-    entry += n * n;
   }
-  EXPECT_EQ(static_cast<int>(bg.neg_mask.size()), bg.total_entries);
-  EXPECT_EQ(static_cast<int>(bg.adj_self.size()), bg.total_entries);
 }
 
-TEST(BatchedDenseGraphTest, ConcatMatchesDirectBuild) {
-  // Concatenating per-sample packs (the serving cache path) must equal
-  // packing the full flat graph list directly.
-  std::vector<DenseGraph> graphs = RaggedGraphs();
-  std::vector<const DenseGraph*> ptrs = GraphPtrs(graphs);
-  BatchedDenseGraph direct = BuildBatchedDenseGraph(ptrs);
-
-  BatchedDenseGraph part1 = BuildBatchedDenseGraph({ptrs[0], ptrs[1]});
-  BatchedDenseGraph part2 = BuildBatchedDenseGraph({ptrs[2], ptrs[3]});
-  BatchedDenseGraph cat = ConcatBatchedDenseGraphs({&part1, &part2});
-
-  EXPECT_EQ(cat.num_graphs, direct.num_graphs);
-  EXPECT_EQ(cat.total_nodes, direct.total_nodes);
-  EXPECT_EQ(cat.total_entries, direct.total_entries);
-  EXPECT_EQ(cat.sizes, direct.sizes);
-  EXPECT_EQ(cat.node_offsets, direct.node_offsets);
-  EXPECT_EQ(cat.entry_offsets, direct.entry_offsets);
-  for (int e = 0; e < direct.total_entries; ++e) {
-    EXPECT_EQ(cat.neg_mask.at(e), direct.neg_mask.at(e)) << "entry " << e;
-    EXPECT_EQ(cat.adj_self.at(e), direct.adj_self.at(e)) << "entry " << e;
+TEST(CsrGraphTest, BuilderLaysComponentsOutInOrder) {
+  // A batch of graphs is their disjoint union: node ids shift by the nodes
+  // before, and each row is the component's own row, shifted.
+  const std::vector<std::pair<int, std::vector<std::pair<int, int>>>> parts = {
+      {1, {}},
+      {2, {}},
+      {3, {{0, 1}, {1, 2}}},
+      {4, {{0, 1}, {2, 3}, {1, 2}, {0, 3}}}};
+  CsrGraphBuilder builder;
+  for (const auto& [n, edges] : parts) builder.Add(n, edges);
+  CsrGraph batch = builder.Build();
+  EXPECT_EQ(batch.sizes, std::vector<int>({1, 2, 3, 4}));
+  ASSERT_EQ(batch.num_nodes(), 10);
+  int base = 0;
+  int edges = 0;
+  for (const auto& [n, part_edges] : parts) {
+    CsrGraph alone = BuildCsrGraph(n, part_edges);
+    edges += alone.num_edges();
+    for (int i = 0; i < n; ++i) {
+      std::vector<int> want = InEdges(alone, i);
+      for (int& s : want) s += base;
+      EXPECT_EQ(InEdges(batch, base + i), want) << "node " << base + i;
+    }
+    base += n;
   }
+  EXPECT_EQ(batch.num_edges(), edges);
 
-  // Single-part concat (B=1) reproduces the pack unchanged.
-  BatchedDenseGraph one = ConcatBatchedDenseGraphs({&direct});
-  EXPECT_EQ(one.sizes, direct.sizes);
-  EXPECT_EQ(one.entry_offsets, direct.entry_offsets);
-  for (int e = 0; e < direct.total_entries; ++e) {
-    EXPECT_EQ(one.neg_mask.at(e), direct.neg_mask.at(e)) << "entry " << e;
-  }
+  // The builder starts over after Build().
+  builder.Add(2, {{1, 0}});
+  CsrGraph next = builder.Build();
+  EXPECT_EQ(next.sizes, std::vector<int>({2}));
+  EXPECT_EQ(InEdges(next, 0), std::vector<int>({0, 1}));
+}
+
+TEST(CsrGraphDeathTest, RejectsInvalidEdges) {
+  EXPECT_DEATH(BuildCsrGraph(3, {{0, 3}}), "invalid");
+  EXPECT_DEATH(BuildCsrGraph(3, {{-1, 0}}), "invalid");
+  EXPECT_DEATH(BuildCsrGraph(3, {{1, 1}}), "invalid");
+  EXPECT_DEATH(BuildCsrGraph(3, {{0, 1}, {2, 1}, {0, 1}}), "duplicate");
 }
 
 TEST(GatLayerTest, IsolatedNodeOnlySeesItself) {
   SeedGlobalRng(21);
   // Node 2 has no incoming edges besides its self loop.
-  DenseGraph g = BuildDenseGraph(3, {{0, 1}});
+  CsrGraph g = BuildCsrGraph(3, {{0, 1}});
   GatLayer gat(4, 1);
   Tensor h = Tensor::Randn({3, 4}, 1.0f);
   Tensor y1 = gat.Forward(h, g);
@@ -671,83 +625,108 @@ TEST(GatLayerTest, IsolatedNodeOnlySeesItself) {
   EXPECT_TRUE(changed);
 }
 
-TEST(GatLayerTest, GradCheck) {
-  SeedGlobalRng(22);
-  DenseGraph g = ChainGraph(3);
-  GatLayer gat(4, 2);
-  Tensor h = Tensor::Randn({3, 4}, 1.0f, true);
-  auto loss = [&] { return MeanAll(Square(gat.Forward(h, g))); };
-  std::vector<Tensor> params = gat.Parameters();
-  params.push_back(h);
-  EXPECT_LT(MaxGradError(loss, params), kTol);
-}
+// A random batch of disjoint directed graphs with 1-8 nodes each: 1-node
+// graphs and nodes with no in-edges occur at these sizes and densities.
+struct RandomGraphBatch {
+  std::vector<std::pair<int, std::vector<std::pair<int, int>>>> parts;
+  CsrGraph graph;
 
-TEST(GatLayerTest, ForwardBatchedMatchesPerGraphForward) {
-  // The block-diagonal batched pass must reproduce the graph-by-graph loop
-  // over ragged sub-graph sizes (incl. 1-node and edge-less graphs), for one
-  // head and for multiple heads. Tolerance is the batched-path float-rounding
-  // bound: the fat projection GEMMs run at a different height than their
-  // per-graph equivalents.
-  for (int heads : {1, 4}) {
-    SeedGlobalRng(24 + heads);
-    std::vector<DenseGraph> graphs = RaggedGraphs();
-    BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
-    GatLayer gat(8, heads);
-    std::vector<Tensor> h_parts;
-    for (const auto& g : graphs) h_parts.push_back(Tensor::Randn({g.n, 8}, 1.0f));
-    Tensor batched = gat.ForwardBatched(ConcatRows(h_parts), bg);
-    ASSERT_EQ(batched.dim(0), bg.total_nodes);
-    ASSERT_EQ(batched.dim(1), 8);
-    int node = 0;
-    for (size_t g = 0; g < graphs.size(); ++g) {
-      Tensor ref = gat.Forward(h_parts[g], graphs[g]);
-      for (int i = 0; i < graphs[g].n; ++i) {
-        for (int j = 0; j < 8; ++j) {
-          EXPECT_NEAR(batched.at(node + i, j), ref.at(i, j), 1e-6)
-              << "heads=" << heads << " graph " << g << " (" << i << "," << j
-              << ")";
+  RandomGraphBatch(Rng& rng, int num_graphs) {
+    CsrGraphBuilder builder;
+    for (int g = 0; g < num_graphs; ++g) {
+      const int n = g == 0 ? 1 : static_cast<int>(rng.UniformInt(1, 8));
+      std::vector<std::pair<int, int>> edges;
+      for (int s = 0; s < n; ++s) {
+        for (int d = 0; d < n; ++d) {
+          if (s != d && rng.Uniform(0.0, 1.0) < 0.25) edges.push_back({s, d});
         }
       }
-      node += graphs[g].n;
+      builder.Add(n, edges);
+      parts.push_back({n, std::move(edges)});
+    }
+    graph = builder.Build();
+  }
+
+  /// The (n, n) additive mask of the whole batch: 0 where row i may attend
+  /// to column j (self-loops and in-edges), -1e9 elsewhere.
+  Tensor DenseMask() const {
+    const int n = graph.num_nodes();
+    Tensor mask = Tensor::Full({n, n}, -1e9f);
+    int base = 0;
+    for (const auto& [size, edges] : parts) {
+      for (int i = 0; i < size; ++i) {
+        mask.data()[static_cast<size_t>(base + i) * n + base + i] = 0.0f;
+      }
+      for (const auto& [s, d] : edges) {
+        mask.data()[static_cast<size_t>(base + d) * n + base + s] = 0.0f;
+      }
+      base += size;
+    }
+    return mask;
+  }
+};
+
+// Paper Eq. (3)-(4) written densely from generic ops: (n, n) scores
+// u_i + v_j, the -1e9 connectivity mask, a row softmax and a dense product.
+Tensor DenseGatReference(GatLayer& gat, int heads, const Tensor& h,
+                         const Tensor& mask) {
+  std::map<std::string, Tensor> p;
+  for (auto& [name, t] : gat.NamedParameters()) p[name] = t;
+  const int n = h.dim(0);
+  std::vector<Tensor> outs;
+  for (int k = 0; k < heads; ++k) {
+    const std::string sfx = "_h" + std::to_string(k);
+    Tensor hw = Matmul(h, p.at("w" + sfx));
+    Tensor ha = Matmul(h, p.at("w_att" + sfx));
+    Tensor u = Matmul(ha, p.at("a_src" + sfx));                  // (n, 1)
+    Tensor v = Reshape(Matmul(ha, p.at("a_dst" + sfx)), {n});  // row
+    Tensor scores = Add(Add(Tensor::Zeros({n, n}), u), v);
+    Tensor attn = SoftmaxRows(Add(LeakyRelu(scores, 0.2f), mask));
+    outs.push_back(LeakyRelu(Matmul(attn, hw), 0.2f));
+  }
+  return heads == 1 ? outs[0] : ConcatCols(outs);
+}
+
+TEST(GatLayerTest, MatchesDenseMaskedReference) {
+  for (int heads : {1, 4}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SeedGlobalRng(24 + 10 * heads + trial);
+      Rng rng(100 + trial);
+      RandomGraphBatch batch(rng, 6);
+      GatLayer gat(8, heads);
+      Tensor h = Tensor::Randn({batch.graph.num_nodes(), 8}, 1.0f);
+      Tensor got = gat.Forward(h, batch.graph);
+      Tensor want = DenseGatReference(gat, heads, h, batch.DenseMask());
+      ASSERT_EQ(got.shape(), want.shape());
+      for (int i = 0; i < got.dim(0); ++i) {
+        for (int j = 0; j < got.dim(1); ++j) {
+          EXPECT_NEAR(got.at(i, j), want.at(i, j), 1e-6)
+              << "heads=" << heads << " trial " << trial << " (" << i << ","
+              << j << ")";
+        }
+      }
     }
   }
 }
 
-TEST(GatLayerTest, ForwardBatchedSingleGraphIsBitExact) {
-  // With ONE graph in the batch every kernel runs at identical heights on
-  // identical data, so the batched path collapses to Forward bit for bit.
-  SeedGlobalRng(26);
-  DenseGraph g = ChainGraph(5);
-  BatchedDenseGraph bg = BuildBatchedDenseGraph({&g});
-  GatLayer gat(8, 2);
-  Tensor h = Tensor::Randn({5, 8}, 1.0f);
-  Tensor batched = gat.ForwardBatched(h, bg);
-  Tensor ref = gat.Forward(h, g);
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      EXPECT_EQ(batched.at(i, j), ref.at(i, j)) << "(" << i << "," << j << ")";
-    }
-  }
-}
-
-TEST(GatLayerTest, ForwardBatchedIsolatesGraphs) {
-  // No cross-graph leakage: perturbing one graph's nodes must leave every
-  // other graph's outputs bit-unchanged (projections are row-local, the
-  // score/softmax/attention stage is per-block).
+TEST(GatLayerTest, BatchIsolatesGraphs) {
+  // No cross-graph leakage: perturbing one component's nodes leaves every
+  // other component's outputs bit-unchanged.
   SeedGlobalRng(27);
-  std::vector<DenseGraph> graphs = RaggedGraphs();
-  BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
+  Rng rng(27);
+  RandomGraphBatch batch(rng, 5);
   GatLayer gat(8, 2);
-  Tensor h = Tensor::Randn({bg.total_nodes, 8}, 1.0f);
-  Tensor before = gat.ForwardBatched(h, bg);
-  // Perturb every node of graph 2 (rows 3..5).
-  for (int i = bg.node_offsets[2]; i < bg.node_offsets[3]; ++i) {
+  const int n = batch.graph.num_nodes();
+  Tensor h = Tensor::Randn({n, 8}, 1.0f);
+  Tensor before = gat.Forward(h, batch.graph);
+  const int first = batch.parts[0].first + batch.parts[1].first;
+  const int last = first + batch.parts[2].first;
+  for (int i = first; i < last; ++i) {
     h.data()[static_cast<size_t>(i) * 8] += 25.0f;
   }
-  Tensor after = gat.ForwardBatched(h, bg);
-  for (int i = 0; i < bg.total_nodes; ++i) {
-    const bool in_graph2 = i >= bg.node_offsets[2] && i < bg.node_offsets[3];
-    if (in_graph2) continue;
+  Tensor after = gat.Forward(h, batch.graph);
+  for (int i = 0; i < n; ++i) {
+    if (i >= first && i < last) continue;
     for (int j = 0; j < 8; ++j) {
       EXPECT_EQ(before.at(i, j), after.at(i, j))
           << "row " << i << " leaked across graphs";
@@ -755,13 +734,13 @@ TEST(GatLayerTest, ForwardBatchedIsolatesGraphs) {
   }
 }
 
-TEST(GatLayerTest, ForwardBatchedGradCheck) {
-  SeedGlobalRng(28);
-  std::vector<DenseGraph> graphs = RaggedGraphs();
-  BatchedDenseGraph bg = BuildBatchedDenseGraph(GraphPtrs(graphs));
+TEST(GatLayerTest, GradCheck) {
+  SeedGlobalRng(22);
+  Rng rng(22);
+  RandomGraphBatch batch(rng, 3);
   GatLayer gat(4, 2);
-  Tensor h = Tensor::Randn({bg.total_nodes, 4}, 1.0f, true);
-  auto loss = [&] { return MeanAll(Square(gat.ForwardBatched(h, bg))); };
+  Tensor h = Tensor::Randn({batch.graph.num_nodes(), 4}, 1.0f, true);
+  auto loss = [&] { return MeanAll(Square(gat.Forward(h, batch.graph))); };
   std::vector<Tensor> params = gat.Parameters();
   params.push_back(h);
   EXPECT_LT(MaxGradError(loss, params), kTol);
@@ -769,16 +748,36 @@ TEST(GatLayerTest, ForwardBatchedGradCheck) {
 
 TEST(GcnGinLayerTest, ShapesAndGradCheck) {
   SeedGlobalRng(23);
-  DenseGraph g = ChainGraph(4);
+  CsrGraph gcn_graph = ChainGraph(4, EdgeWeights::kGcnNorm);
+  CsrGraph gin_graph = ChainGraph(4, EdgeWeights::kNeighbours);
   GcnLayer gcn(3, 3);
   GinLayer gin(3, 6);
   Tensor h = Tensor::Randn({4, 3}, 1.0f, true);
-  EXPECT_EQ(gcn.Forward(h, g).dim(1), 3);
-  EXPECT_EQ(gin.Forward(h, g).dim(1), 3);
-  auto loss = [&] { return MeanAll(Square(gin.Forward(gcn.Forward(h, g), g))); };
+  EXPECT_EQ(gcn.Forward(h, gcn_graph).dim(1), 3);
+  EXPECT_EQ(gin.Forward(h, gin_graph).dim(1), 3);
+  auto loss = [&] {
+    return MeanAll(Square(gin.Forward(gcn.Forward(h, gcn_graph), gin_graph)));
+  };
   std::vector<Tensor> params = gcn.Parameters();
   for (auto& p : gin.Parameters()) params.push_back(p);
   EXPECT_LT(MaxGradError(loss, params), kTol);
+}
+
+TEST(GcnGinLayerTest, PropagateOverTheirEdgeWeights) {
+  // GCN aggregates the kGcnNorm-weighted rows; GIN sums in-neighbours only.
+  SeedGlobalRng(29);
+  CsrGraph gcn_graph = BuildCsrGraph(2, {{0, 1}}, EdgeWeights::kGcnNorm);
+  Tensor h = Tensor::FromVector({2, 1}, {3.0f, 5.0f});
+  Tensor agg = SpMM(gcn_graph.weight, h, gcn_graph.csr);
+  EXPECT_FLOAT_EQ(agg.at(0, 0), 3.0f);
+  EXPECT_FLOAT_EQ(agg.at(1, 0), 3.0f / std::sqrt(2.0f) + 0.5f * 5.0f);
+  CsrGraph gin_graph = BuildCsrGraph(2, {{0, 1}}, EdgeWeights::kNeighbours);
+  Tensor sum = SpMM(gin_graph.weight, h, gin_graph.csr);
+  EXPECT_FLOAT_EQ(sum.at(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(sum.at(1, 0), 3.0f);
+  // Each layer refuses a graph carrying the other's weights.
+  GcnLayer gcn(1, 1);
+  EXPECT_DEATH(gcn.Forward(h, gin_graph), "kGcnNorm");
 }
 
 TEST(ModuleTest, NamedParametersHaveDottedPaths) {

@@ -233,20 +233,6 @@ TEST(GradCheck, MatmulTransBMatchesExplicitTranspose) {
   testing_util::ExpectVectorNear(fused.data(), reference.data(), 1e-5f);
 }
 
-TEST(GradCheck, AddRowColBothInputs) {
-  SeedGlobalRng(32);
-  // Column as (n,1) and row as rank-1 (m): the GAT score layout.
-  Tensor u = Tensor::Randn({3, 1}, 1.0f, true);
-  Tensor v = Tensor::Randn({4}, 1.0f, true);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(AddRowCol(u, v)); }, {u, v}),
-            kTol);
-  // Rank-1 column and (1,m) row.
-  Tensor u1 = Tensor::Randn({5}, 1.0f, true);
-  Tensor v1 = Tensor::Randn({1, 2}, 1.0f, true);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(AddRowCol(u1, v1)); }, {u1, v1}),
-            kTol);
-}
-
 TEST(GradCheck, AddRowBroadcastBothInputs) {
   SeedGlobalRng(33);
   Tensor a = Tensor::Randn({3, 4}, 1.0f, true);
@@ -279,30 +265,6 @@ TEST(GradCheck, AddBlockBroadcast) {
       EXPECT_FLOAT_EQ(fused.at(i, j), plain.at(i, j));
     }
   }
-}
-
-TEST(GradCheck, MaskedSoftmaxRows) {
-  SeedGlobalRng(34);
-  Tensor a = Tensor::Randn({3, 5}, 1.0f, true);
-  // Graph-style mask: some forbidden positions per row, none fully masked.
-  Tensor mask = Tensor::FromVector({3, 5}, {0, -1e9f, 0, -1e9f, 0,      //
-                                            -1e9f, 0, 0, 0, -1e9f,     //
-                                            0, 0, -1e9f, 0, 0});
-  Tensor w = Tensor::FromVector({5, 1}, {1, -2, 3, 0.5f, -1});
-  auto loss = [&] { return MeanAll(Matmul(MaskedSoftmaxRows(a, mask), w)); };
-  EXPECT_LT(MaxGradError(loss, {a}), kTol);
-}
-
-TEST(GradCheck, MaskedSoftmaxMatchesAddThenSoftmax) {
-  SeedGlobalRng(35);
-  Tensor a = Tensor::Randn({4, 6}, 1.0f);
-  Tensor mask = Tensor::Zeros({4, 6});
-  for (int i = 0; i < 4; ++i) mask.data()[i * 6 + (i + 1)] = -1e9f;
-  Tensor fused = MaskedSoftmaxRows(a, mask);
-  Tensor reference = SoftmaxRows(Add(a, mask));
-  testing_util::ExpectVectorNear(fused.data(), reference.data(), 1e-5f);
-  // Masked positions must be exactly zero probability (not denormal noise).
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(fused.at(i, i + 1), 0.0f);
 }
 
 TEST(GradCheck, FastExpMatchesLibm) {
@@ -472,155 +434,74 @@ TEST(GradCheck, SegmentMeanRowsMatchesColMean) {
   }
 }
 
-// ----- Packed block-diagonal ops (batched GAT path) --------------------------
+// ----- Sparse graph ops (GAT/GCN/GIN over in-edge CSR) ----------------------
 //
-// Layout under test: a rank-1 tensor of length sum(sizes[g]^2) where block g
-// is a row-major (n_g, n_g) matrix starting at sum_{h<g} sizes[h]^2. The
-// sizes below always mix ragged blocks with the degenerate shapes the
-// serving path produces: a 1-node sub-graph (isolated GPS point) and an
-// empty block.
+// A hand-built index with ragged rows, a single-edge row and a row with no
+// in-edges at all (the ops accept those; the graph builder never makes them
+// because every node has its self-loop).
 
-// Packed additive mask with a few forbidden entries per block (diagonal
-// always allowed, mirroring self-loops).
-Tensor PackedNegMask(const std::vector<int>& sizes) {
-  int total = 0;
-  for (int s : sizes) total += s * s;
-  std::vector<float> mask(total, 0.0f);
-  int entry = 0;
-  for (int s : sizes) {
-    for (int i = 0; i < s; ++i) {
-      for (int j = 0; j < s; ++j) {
-        // Forbid roughly half the off-diagonal entries.
-        if (i != j && (i + 2 * j) % 3 == 0) mask[entry + i * s + j] = -1e9f;
-      }
-    }
-    entry += s * s;
-  }
-  return Tensor::FromVector({total}, mask);
+CsrIndexPtr RaggedCsr() {
+  auto csr = std::make_shared<CsrIndex>();
+  csr->offsets = {0, 3, 4, 4, 6, 9};
+  csr->src = {0, 2, 4, 1, 0, 3, 1, 2, 4};
+  return csr;
 }
 
-TEST(GradCheck, AddRowColBlocks) {
+TEST(GradCheck, EdgeScoresBothInputs) {
   SeedGlobalRng(60);
-  // Ragged blocks incl. a degenerate 1-node block and an empty block.
-  const std::vector<int> sizes = {3, 1, 0, 2};
-  Tensor col = Tensor::Randn({6, 1}, 1.0f, true);
-  Tensor row = Tensor::Randn({6}, 1.0f, true);
-  EXPECT_LT(MaxGradError(
-                [&] { return SmoothLoss(AddRowColBlocks(col, row, sizes)); },
-                {col, row}),
+  CsrIndexPtr csr = RaggedCsr();
+  Tensor u = Tensor::Randn({5, 1}, 1.0f, true);
+  Tensor v = Tensor::Randn({5}, 1.0f, true);
+  EXPECT_LT(MaxGradError([&] { return SmoothLoss(EdgeScores(u, v, csr)); },
+                         {u, v}),
             kTol);
-}
-
-TEST(GradCheck, AddRowColBlocksMatchesPerBlockAddRowCol) {
-  SeedGlobalRng(61);
-  const std::vector<int> sizes = {2, 1, 3};
-  Tensor col = Tensor::Randn({6, 1}, 1.0f);
-  Tensor row = Tensor::Randn({6}, 1.0f);
-  Tensor packed = AddRowColBlocks(col, row, sizes);
-  ASSERT_EQ(packed.size(), 4 + 1 + 9);
-  int node = 0;
-  int entry = 0;
-  for (int s : sizes) {
-    // Bit-identical to the per-graph fused outer sum on the same block.
-    Tensor ref = AddRowCol(SliceRows(col, node, s),
-                           Reshape(SliceRows(Reshape(row, {6, 1}), node, s), {s}));
-    for (int i = 0; i < s; ++i) {
-      for (int j = 0; j < s; ++j) {
-        EXPECT_EQ(packed.at(entry + i * s + j), ref.at(i, j))
-            << "block of size " << s << " at (" << i << "," << j << ")";
-      }
+  Tensor scores = EdgeScores(u, v, csr);
+  for (int i = 0; i < csr->num_nodes(); ++i) {
+    for (int e = csr->offsets[i]; e < csr->offsets[i + 1]; ++e) {
+      EXPECT_EQ(scores.at(e), u.at(i, 0) + v.at(csr->src[e])) << "edge " << e;
     }
-    node += s;
-    entry += s * s;
   }
 }
 
-TEST(GradCheck, SegmentMaskedSoftmax) {
+TEST(GradCheck, EdgeSoftmax) {
   SeedGlobalRng(62);
-  const std::vector<int> sizes = {3, 1, 0, 2};
-  Tensor mask = PackedNegMask(sizes);
-  Tensor a = Tensor::Randn({static_cast<int>(mask.size())}, 1.0f, true);
-  EXPECT_LT(MaxGradError(
-                [&] { return SmoothLoss(SegmentMaskedSoftmax(a, mask, sizes)); },
-                {a}),
+  CsrIndexPtr csr = RaggedCsr();
+  Tensor a = Tensor::Randn({csr->num_edges()}, 1.0f, true);
+  EXPECT_LT(MaxGradError([&] { return SmoothLoss(EdgeSoftmax(a, csr)); }, {a}),
             kTol);
-}
-
-TEST(GradCheck, SegmentMaskedSoftmaxMatchesMaskedSoftmaxRows) {
-  SeedGlobalRng(63);
-  const std::vector<int> sizes = {4, 1, 2};
-  Tensor mask = PackedNegMask(sizes);
-  Tensor a = Tensor::Randn({static_cast<int>(mask.size())}, 1.0f);
-  Tensor packed = SegmentMaskedSoftmax(a, mask, sizes);
-  int entry = 0;
-  for (int s : sizes) {
-    // Bit-identical to the per-graph masked softmax on the same block.
-    Tensor block = Reshape(SliceRows(Reshape(a, {static_cast<int>(a.size()), 1}),
-                                     entry, s * s),
-                           {s, s});
-    Tensor mblock = Reshape(
-        SliceRows(Reshape(mask, {static_cast<int>(mask.size()), 1}), entry,
-                  s * s),
-        {s, s});
-    Tensor ref = MaskedSoftmaxRows(block, mblock);
-    for (int i = 0; i < s; ++i) {
-      for (int j = 0; j < s; ++j) {
-        EXPECT_EQ(packed.at(entry + i * s + j), ref.at(i, j))
-            << "block of size " << s << " at (" << i << "," << j << ")";
-      }
+  // Each row is the softmax of its own span; a single-edge row is exactly 1.
+  Tensor y = EdgeSoftmax(a, csr);
+  for (int i = 0; i < csr->num_nodes(); ++i) {
+    const int lo = csr->offsets[i];
+    const int len = csr->offsets[i + 1] - lo;
+    if (len == 0) continue;
+    Tensor row = SliceRows(Reshape(a, {csr->num_edges(), 1}), lo, len);
+    Tensor ref = SoftmaxRows(Reshape(row, {1, len}));
+    for (int j = 0; j < len; ++j) {
+      EXPECT_NEAR(y.at(lo + j), ref.at(0, j), 1e-6) << "node " << i;
     }
-    entry += s * s;
   }
+  EXPECT_EQ(y.at(3), 1.0f);
 }
 
-TEST(GradCheck, SegmentMaskedSoftmaxDegenerateOneNodeBlock) {
-  // A 1-node sub-graph's attention row is softmax of one logit: exactly 1.
-  SeedGlobalRng(64);
-  const std::vector<int> sizes = {1, 1};
-  Tensor a = Tensor::FromVector({2}, {3.5f, -2.0f});
-  Tensor mask = Tensor::Zeros({2});
-  Tensor out = SegmentMaskedSoftmax(a, mask, sizes);
-  EXPECT_EQ(out.at(0), 1.0f);
-  EXPECT_EQ(out.at(1), 1.0f);
-}
-
-TEST(GradCheck, BlockDiagMatmulBothSides) {
+TEST(GradCheck, SpMMBothInputs) {
   SeedGlobalRng(65);
-  const std::vector<int> sizes = {3, 1, 0, 2};
-  Tensor attn = Tensor::Randn({9 + 1 + 0 + 4}, 1.0f, true);
-  Tensor b = Tensor::Randn({6, 3}, 1.0f, true);
-  EXPECT_LT(MaxGradError(
-                [&] { return SmoothLoss(BlockDiagMatmul(attn, b, sizes)); },
-                {attn, b}),
-            kTol);
-}
-
-TEST(GradCheck, BlockDiagMatmulMatchesPerBlockMatmul) {
-  SeedGlobalRng(66);
-  const std::vector<int> sizes = {2, 1, 3};
-  Tensor attn = Tensor::Randn({4 + 1 + 9}, 1.0f);
-  Tensor b = Tensor::Randn({6, 4}, 1.0f);
-  Tensor out = BlockDiagMatmul(attn, b, sizes);
-  ASSERT_EQ(out.dim(0), 6);
-  ASSERT_EQ(out.dim(1), 4);
-  int node = 0;
-  int entry = 0;
-  for (int s : sizes) {
-    // Bit-identical to Matmul on the same block (same packed GEMM core).
-    Tensor ablock = Reshape(
-        SliceRows(Reshape(attn, {static_cast<int>(attn.size()), 1}), entry,
-                  s * s),
-        {s, s});
-    Tensor ref = Matmul(ablock, SliceRows(b, node, s));
-    for (int i = 0; i < s; ++i) {
-      for (int j = 0; j < 4; ++j) {
-        EXPECT_EQ(out.at(node + i, j), ref.at(i, j))
-            << "block of size " << s << " at (" << i << "," << j << ")";
-      }
+  CsrIndexPtr csr = RaggedCsr();
+  Tensor w = Tensor::Randn({csr->num_edges()}, 1.0f, true);
+  Tensor h = Tensor::Randn({5, 3}, 1.0f, true);
+  EXPECT_LT(
+      MaxGradError([&] { return SmoothLoss(SpMM(w, h, csr)); }, {w, h}), kTol);
+  // Equals the dense product with the edge values scattered into (n, n).
+  Tensor dense = Tensor::Zeros({5, 5});
+  for (int i = 0; i < 5; ++i) {
+    for (int e = csr->offsets[i]; e < csr->offsets[i + 1]; ++e) {
+      dense.data()[i * 5 + csr->src[e]] = w.at(e);
     }
-    node += s;
-    entry += s * s;
   }
+  Tensor got = SpMM(w, h, csr);
+  Tensor want = Matmul(dense, h);
+  testing_util::ExpectVectorNear(got.data(), want.data(), 1e-5f);
+  for (int j = 0; j < 3; ++j) EXPECT_EQ(got.at(2, j), 0.0f);  // no in-edges
 }
 
 TEST(GradCheck, PadAndUnpadRows) {
