@@ -40,6 +40,45 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
+// (n,k)x(k,m) at the model's own shapes (d = 24, head width 8, 270- and
+// 848-segment id heads, decoder batches), whose output widths are mostly
+// not multiples of the GEMM's 32-wide tile. Args: n, k, m, and 1 to also run
+// the backward (dA = dC B^T and dB = A^T dC). Items are flops.
+void BM_MatmulShape(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
+  const bool backward = state.range(3) == 1;
+  SeedGlobalRng(3);
+  Tensor a = Tensor::Randn({n, k}, 1.0f, backward);
+  Tensor b = Tensor::Randn({k, m}, 1.0f, backward);
+  std::optional<NoGradGuard> no_grad;
+  if (!backward) no_grad.emplace();
+  BufferPoolScope pool;
+  for (auto _ : state) {
+    Tensor out = Matmul(a, b);
+    if (backward) {
+      TensorImpl& o = *out.impl();
+      o.grad.assign(o.data.size(), 1.0f);
+      o.node->backward(o);
+    }
+    benchmark::DoNotOptimize(out.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{backward ? 6 : 2} * n *
+                          k * m);
+  state.SetLabel(backward ? "fwd+bwd" : "fwd");
+}
+BENCHMARK(BM_MatmulShape)
+    ->ArgsProduct({{270}, {24}, {8, 24, 48, 72}, {0, 1}})
+    ->Args({8, 24, 270, 0})
+    ->Args({8, 24, 270, 1})
+    ->Args({16, 24, 848, 0})
+    ->Args({16, 24, 848, 1})
+    ->Args({8, 52, 72, 0})
+    ->Args({8, 52, 72, 1})
+    ->Args({1530, 24, 8, 0})
+    ->Args({1530, 24, 8, 1});
+
 void BM_SoftmaxRows(benchmark::State& state) {
   SeedGlobalRng(2);
   Tensor a = Tensor::Randn({64, static_cast<int>(state.range(0))}, 1.0f);

@@ -7,6 +7,7 @@
 #include "src/common/random.h"
 #include "src/tensor/buffer_pool.h"
 #include "src/tensor/fast_math.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "tests/test_util.h"
@@ -300,18 +301,111 @@ TEST(GradCheck, PooledMatmulNonSquareAndVectorLhs) {
 }
 
 TEST(GradCheck, BlockedGemmMatchesNaiveReference) {
-  // Odd sizes exercise every remainder path (row peel, narrow tiles, partial
-  // k panels) of the blocked kernel.
+  // The three GEMM entry points accumulate into a non-zero C. The widths
+  // give partial tiles of 1 to 31 columns (all zero-padded), one full tile
+  // and one column past it; the row counts go through every row peel (8-,
+  // 4- and 1-row tiles); k = 300 splits the inner dimension across two
+  // panels. B is held in vectors of exactly its size, so a sanitizer build
+  // flags any panel copy that reads past B's last row or column.
   SeedGlobalRng(41);
-  const int n = 37, k = 29, m = 23;
-  Tensor a = Tensor::Randn({n, k}, 1.0f);
-  Tensor b = Tensor::Randn({k, m}, 1.0f);
-  Tensor c = Matmul(a, b);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < m; ++j) {
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += double(a.at(i, p)) * b.at(p, j);
-      EXPECT_NEAR(c.at(i, j), acc, 1e-3) << "at (" << i << "," << j << ")";
+  const auto randn = [](size_t size) {
+    return Tensor::Randn({static_cast<int>(size)}, 1.0f).data();
+  };
+  for (const int n : {1, 4, 15, 37}) {
+    for (const int k : {1, 29, 300}) {
+      for (const int m : {1, 8, 16, 23, 24, 31, 32, 33}) {
+        const std::vector<float> a = randn(size_t(n) * k);   // A(n,k)
+        const std::vector<float> at = randn(size_t(k) * n);  // A(k,n) for A^T
+        const std::vector<float> b = randn(size_t(k) * m);   // B(k,m)
+        const std::vector<float> bt = randn(size_t(m) * k);  // B(m,k) for B^T
+        const std::vector<float> c0 = randn(size_t(n) * m);
+        std::vector<float> c = c0, ct_a = c0, ct_b = c0;
+        internal::GemmAcc(a.data(), b.data(), c.data(), n, k, m);
+        internal::GemmTransAAcc(at.data(), b.data(), ct_a.data(), n, k, m);
+        internal::GemmTransBAcc(a.data(), bt.data(), ct_b.data(), n, k, m);
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < m; ++j) {
+            double ref = c0[i * m + j], ref_ta = ref, ref_tb = ref;
+            for (int p = 0; p < k; ++p) {
+              ref += double(a[i * k + p]) * b[p * m + j];
+              ref_ta += double(at[p * n + i]) * b[p * m + j];
+              ref_tb += double(a[i * k + p]) * bt[j * k + p];
+            }
+            const auto where = [&] {
+              return testing::Message() << "(" << n << "," << k << ")x(" << k
+                                        << "," << m << ") at (" << i << ","
+                                        << j << ")";
+            };
+            EXPECT_NEAR(c[i * m + j], ref, 1e-3) << "A*B " << where();
+            EXPECT_NEAR(ct_a[i * m + j], ref_ta, 1e-3) << "A^T*B " << where();
+            EXPECT_NEAR(ct_b[i * m + j], ref_tb, 1e-3) << "A*B^T " << where();
+          }
+        }
+      }
+    }
+  }
+}
+
+// Each row of A taken alone, as a (1,k) matrix: a C row's bits must not
+// depend on where the row falls in the GEMM's tile grid (8-, 4- or 1-row
+// tile, partial or full column tile), for the forward, MatmulTransB and both
+// Matmul gradients. Exact comparison.
+TEST(GradCheck, GemmRowBitsIndependentOfTilePosition) {
+  SeedGlobalRng(42);
+  const auto row = [](const std::vector<float>& v, int r, int len) {
+    return std::vector<float>(v.begin() + size_t(r) * len,
+                              v.begin() + size_t(r + 1) * len);
+  };
+  // Runs out's own backward with d(loss)/d(out) = g.
+  const auto backward = [](const Tensor& out, const std::vector<float>& g) {
+    TensorImpl& o = *out.impl();
+    o.grad = g;
+    o.node->backward(o);
+  };
+  std::vector<int> widths;
+  for (int m = 1; m <= 40; ++m) widths.push_back(m);
+  widths.insert(widths.end(), {72, 270, 848});
+  std::vector<int> heights;
+  for (int n = 1; n <= 17; ++n) heights.push_back(n);
+  heights.push_back(270);
+  for (const int k : {1, 24, 257}) {
+    for (const int m : widths) {
+      for (const int n : heights) {
+        Tensor a = Tensor::Randn({n, k}, 1.0f, true);
+        Tensor b = Tensor::Randn({k, m}, 1.0f, true);
+        Tensor bt = Tensor::Randn({m, k}, 1.0f);
+        const std::vector<float> g = Tensor::Randn({n, m}, 1.0f).data();
+        const Tensor c = Matmul(a, b);
+        backward(c, g);
+        const Tensor ct = MatmulTransB(a, bt);
+        Tensor b_const = Tensor::FromVector({k, m}, b.data());
+        int bad_fwd = 0, bad_trans_b = 0, bad_da = 0, bad_db = 0;
+        for (int i = 0; i < n; ++i) {
+          Tensor ai = Tensor::FromVector({1, k}, row(a.data(), i, k), true);
+          const Tensor ci = Matmul(ai, b_const);
+          backward(ci, row(g, i, m));
+          bad_fwd += ci.data() != row(c.data(), i, m);
+          bad_da += ai.grad() != row(a.grad(), i, k);
+          bad_trans_b +=
+              MatmulTransB(ai.Detach(), bt).data() != row(ct.data(), i, m);
+        }
+        // dB = A^T dC: row p of dB is column p of A against dC.
+        for (int p = 0; p < k; ++p) {
+          std::vector<float> col(n);
+          for (int i = 0; i < n; ++i) col[i] = a.data()[size_t(i) * k + p];
+          Tensor bp = Tensor::FromVector({1, m}, row(b.data(), p, m), true);
+          backward(Matmul(Tensor::FromVector({n, 1}, col), bp), g);
+          bad_db += bp.grad() != row(b.grad(), p, m);
+        }
+        const auto shape = [&] {
+          return testing::Message() << "rows differing for (" << n << "," << k
+                                    << ")x(" << k << "," << m << ")";
+        };
+        EXPECT_EQ(bad_fwd, 0) << "Matmul " << shape();
+        EXPECT_EQ(bad_trans_b, 0) << "MatmulTransB " << shape();
+        EXPECT_EQ(bad_da, 0) << "Matmul dA " << shape();
+        EXPECT_EQ(bad_db, 0) << "Matmul dB " << shape();
+      }
     }
   }
 }
