@@ -238,7 +238,7 @@ void BM_FusedChain(benchmark::State& state) {
     } else {
       w = LengthMaskedSoftmaxRows(MulScalar(scores, scale), valid);
       Tensor y = layer_norm_chain(x, attn_out, gamma1, beta1);
-      Tensor ff = Relu(AddRowBroadcast(y, bias));
+      Tensor ff = Relu(Add(y, bias));
       out = layer_norm_chain(y, ff, gamma2, beta2);
     }
     benchmark::DoNotOptimize(w.data().data());

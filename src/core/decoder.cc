@@ -58,7 +58,7 @@ int ArgmaxRow(const float* row, int n) {
 /// First-max argmax over v in [0, n), n >= 1, of (y[v] + b[v]) + m[v],
 /// where the mask m is `vals[k]` at the ascending `ids[k]` (k < nnz) and
 /// `floor` elsewhere. The float expression and its evaluation order are
-/// those of the dense Add(AddRowBroadcast(y, b), mask), so the index is the
+/// those of the dense Add(Add(y, b), mask), so the index is the
 /// one a scan of the dense logits picks, without ever materialising them.
 int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
                  const float* vals, int nnz, int n) {

@@ -96,7 +96,7 @@ Tensor GraphRefinementLayer::ForwardBatch(
       // Eq. (7): z = sigma(tr W1 + Z W2 + b); out = z*tr + (1-z)*Z.
       Tensor trw1 = Matmul(tr, wz1_);  // (num_graphs, d)
       Tensor gate =
-          fusion::BiasAct(AddRowBroadcast(Matmul(z, wz2_), bz_),
+          fusion::BiasAct(Add(Matmul(z, wz2_), bz_),
                           GatherRows(trw1, node2graph), fusion::Act::kSigmoid);
       fuse_out = Add(Mul(gate, trx), Mul(AddScalar(Neg(gate), 1.0f), z));
     } else {

@@ -17,6 +17,25 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ring positions per worker; more = smoother shard balance.
+constexpr int kVirtualNodes = 64;
+/// In-flight depth on the ring's pick beyond which a request overflows to
+/// the least-loaded alive worker.
+constexpr int kOverflowDepth = 8;
+/// A request unanswered this long is failed (kInternalError) and dropped.
+constexpr int kRequestTimeoutMs = 60000;
+/// Reconnect backoff after a worker connection dies: doubles from min to
+/// max per consecutive failure, resets on success.
+constexpr int kReconnectBackoffMinMs = 25;
+constexpr int kReconnectBackoffMaxMs = 1000;
+/// Budget for connecting to a control endpoint (metrics pull, model swap
+/// handshake — not the worker-side warmup, which runs synchronously and is
+/// bounded by the reply wait below).
+constexpr int kControlConnectTimeoutMs = 20000;
+/// Budget for one control reply (a swap reply arrives only after the worker
+/// loaded + warmed the new model).
+constexpr int kControlReplyTimeoutMs = 120000;
+
 serve::RecoveryResponse ErrorResponse(serve::ResponseKind kind,
                                       std::string error) {
   serve::RecoveryResponse resp;
@@ -26,12 +45,12 @@ serve::RecoveryResponse ErrorResponse(serve::ResponseKind kind,
   return resp;
 }
 
-/// Connects with retries until `budget_ms` elapses — control operations
-/// tolerate a worker that is mid-restart.
-bool ConnectWithin(const std::string& endpoint, int budget_ms, Socket* out,
-                   std::string* error) {
+/// Connects with retries for up to kControlConnectTimeoutMs — control
+/// operations tolerate a worker that is mid-restart.
+bool ConnectControl(const std::string& endpoint, Socket* out,
+                    std::string* error) {
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(budget_ms);
+      Clock::now() + std::chrono::milliseconds(kControlConnectTimeoutMs);
   for (;;) {
     if (ConnectTo(endpoint, out, error)) return true;
     if (Clock::now() >= deadline) return false;
@@ -39,13 +58,13 @@ bool ConnectWithin(const std::string& endpoint, int budget_ms, Socket* out,
   }
 }
 
-/// One synchronous control round-trip: send `frame`, wait (bounded) for a
-/// reply of `want` type.
+/// One synchronous control round-trip: send `frame`, wait (bounded by
+/// kControlReplyTimeoutMs) for a reply of `want` type.
 bool ControlRoundTrip(const Socket& s, const std::string& frame,
-                      FrameType want, int reply_timeout_ms,
-                      std::string* payload, std::string* error) {
+                      FrameType want, std::string* payload,
+                      std::string* error) {
   if (!SendFrame(s, frame, error)) return false;
-  const int r = PollReadable(s, reply_timeout_ms);
+  const int r = PollReadable(s, kControlReplyTimeoutMs);
   if (r <= 0) {
     *error = r == 0 ? "control reply timed out" : "control connection lost";
     return false;
@@ -85,20 +104,19 @@ struct FleetRouter::WorkerChannel {
   std::atomic<int> inflight_count{0};
 };
 
-FleetRouter::FleetRouter(const FleetRouterConfig& config) : config_(config) {
-  workers_.reserve(config_.workers.size());
-  for (size_t i = 0; i < config_.workers.size(); ++i) {
+FleetRouter::FleetRouter(const FleetRouterConfig& config) {
+  workers_.reserve(config.workers.size());
+  for (size_t i = 0; i < config.workers.size(); ++i) {
     auto w = std::make_unique<WorkerChannel>();
     w->index = static_cast<int>(i);
-    w->endpoints = config_.workers[i];
+    w->endpoints = config.workers[i];
     workers_.push_back(std::move(w));
   }
   // Ring points are hashes of a deterministic label — the ring is identical
   // across router restarts, so shard placement is stable.
-  const int vnodes = std::max(1, config_.virtual_nodes);
-  ring_.reserve(workers_.size() * static_cast<size_t>(vnodes));
+  ring_.reserve(workers_.size() * kVirtualNodes);
   for (size_t i = 0; i < workers_.size(); ++i) {
-    for (int v = 0; v < vnodes; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       const std::string label =
           "worker-" + std::to_string(i) + "-vnode-" + std::to_string(v);
       ring_.emplace_back(Fnv1a64(label), static_cast<int>(i));
@@ -113,7 +131,7 @@ FleetRouter::FleetRouter(const FleetRouterConfig& config) : config_(config) {
 FleetRouter::~FleetRouter() { Shutdown(); }
 
 void FleetRouter::ManagerLoop(WorkerChannel* w) {
-  int backoff_ms = config_.reconnect_backoff_min_ms;
+  int backoff_ms = kReconnectBackoffMinMs;
   while (!shutdown_.load(std::memory_order_acquire)) {
     Socket s;
     std::string error;
@@ -125,10 +143,10 @@ void FleetRouter::ManagerLoop(WorkerChannel* w) {
              !shutdown_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
-      backoff_ms = std::min(backoff_ms * 2, config_.reconnect_backoff_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kReconnectBackoffMaxMs);
       continue;
     }
-    backoff_ms = config_.reconnect_backoff_min_ms;
+    backoff_ms = kReconnectBackoffMinMs;
     {
       std::lock_guard<std::mutex> lock(w->mu);
       w->socket = std::move(s);
@@ -243,7 +261,7 @@ FleetRouter::WorkerChannel* FleetRouter::PickWorker(
   }
   if (primary == nullptr) return nullptr;
   if (primary->inflight_count.load(std::memory_order_relaxed) <=
-      config_.overflow_depth) {
+      kOverflowDepth) {
     return primary;
   }
   // The shard owner is backed up: overflow to the least-loaded alternative
@@ -287,7 +305,7 @@ std::future<serve::RecoveryResponse> FleetRouter::Submit(
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   const std::string frame = BuildRequestFrame(id, body);
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
+      Clock::now() + std::chrono::milliseconds(kRequestTimeoutMs);
 
   std::vector<bool> tried(workers_.size(), false);
   bool any_attempt = false;
@@ -333,13 +351,9 @@ obs::MetricsSnapshot FleetRouter::FleetMetrics(std::string* error) {
     std::string werror;
     std::string payload;
     obs::MetricsSnapshot snap;
-    if (!ConnectWithin(w->endpoints.control,
-                       config_.control_connect_timeout_ms, &control,
-                       &werror) ||
+    if (!ConnectControl(w->endpoints.control, &control, &werror) ||
         !ControlRoundTrip(control, BuildMetricsQueryFrame(),
-                          FrameType::kMetricsReply,
-                          config_.control_reply_timeout_ms, &payload,
-                          &werror) ||
+                          FrameType::kMetricsReply, &payload, &werror) ||
         !DecodeMetricsReplyPayload(payload.data(), payload.size(), &snap,
                                    &werror)) {
       problems += (problems.empty() ? "" : "; ") + ("worker " +
@@ -362,9 +376,7 @@ bool FleetRouter::RollingDeploy(const std::string& snapshot_path,
   for (auto& w : workers_) {
     Socket control;
     std::string werror;
-    if (!ConnectWithin(w->endpoints.control,
-                       config_.control_connect_timeout_ms, &control,
-                       &werror)) {
+    if (!ConnectControl(w->endpoints.control, &control, &werror)) {
       if (error != nullptr) {
         *error = "worker " + std::to_string(w->index) +
                  " control connect failed: " + werror;
@@ -373,9 +385,7 @@ bool FleetRouter::RollingDeploy(const std::string& snapshot_path,
     }
     std::string payload;
     if (!ControlRoundTrip(control, BuildSwapModelFrame(snapshot_path),
-                          FrameType::kSwapReply,
-                          config_.control_reply_timeout_ms, &payload,
-                          &werror)) {
+                          FrameType::kSwapReply, &payload, &werror)) {
       if (error != nullptr) {
         *error = "worker " + std::to_string(w->index) +
                  " swap round-trip failed: " + werror;

@@ -17,11 +17,11 @@
 /// death, and rolls model deploys through the fleet one worker at a time.
 ///
 /// Sharding: FNV-1a of the encoded request body looked up on a consistent-
-/// hash ring (virtual nodes per worker), skipping dead workers; when the
-/// ring's pick is deeper than `overflow_depth` requests in flight, the
-/// request overflows to the least-loaded alive worker instead. Identical
-/// request bodies therefore land on the same worker (cache affinity) until
-/// that worker is hot or dead.
+/// hash ring (64 virtual nodes per worker), skipping dead workers; when the
+/// ring's pick has more than 8 requests in flight, the request overflows to
+/// the least-loaded alive worker instead. Identical request bodies therefore
+/// land on the same worker (cache affinity) until that worker is hot or
+/// dead.
 ///
 /// Failure semantics — the contract the chaos suite pins:
 ///   * Submit NEVER returns a dangling future. Every future resolves with a
@@ -32,8 +32,11 @@
 ///     immediately (kInternalError) and moves its shard to survivors; a
 ///     manager thread reconnects with exponential backoff, so a restarted
 ///     worker rejoins the ring automatically.
-///   * Requests still unanswered after `request_timeout_ms` are failed and
-///     forgotten — a hung worker cannot wedge the router.
+///   * Requests still unanswered after 60 s are failed and forgotten — a
+///     hung worker cannot wedge the router.
+///
+/// The ring size, overflow depth, timeouts and reconnect backoff are
+/// constants in router.cc.
 
 namespace rntraj {
 namespace fleet {
@@ -45,24 +48,6 @@ struct FleetWorkerEndpoints {
 
 struct FleetRouterConfig {
   std::vector<FleetWorkerEndpoints> workers;
-  /// Ring positions per worker; more = smoother shard balance.
-  int virtual_nodes = 64;
-  /// In-flight depth on the ring's pick beyond which a request overflows to
-  /// the least-loaded alive worker.
-  int overflow_depth = 8;
-  /// A request unanswered this long is failed (kInternalError) and dropped.
-  int request_timeout_ms = 60000;
-  /// Reconnect backoff after a worker connection dies: doubles from min to
-  /// max per consecutive failure, resets on success.
-  int reconnect_backoff_min_ms = 25;
-  int reconnect_backoff_max_ms = 1000;
-  /// Budget for one control-endpoint operation (metrics pull, model swap
-  /// handshake — not the worker-side warmup, which runs synchronously and
-  /// is bounded by the reply wait below).
-  int control_connect_timeout_ms = 20000;
-  /// Budget for one control reply (a swap reply arrives only after the
-  /// worker loaded + warmed the new model).
-  int control_reply_timeout_ms = 120000;
 };
 
 /// Point-in-time view of one worker channel.
@@ -138,7 +123,6 @@ class FleetRouter {
   /// applies the least-loaded overflow rule. Null when nobody is eligible.
   WorkerChannel* PickWorker(uint64_t key, const std::vector<bool>& tried);
 
-  FleetRouterConfig config_;
   std::vector<std::unique_ptr<WorkerChannel>> workers_;
   /// Sorted (point, worker index) pairs; built once, never mutated.
   std::vector<std::pair<uint64_t, int>> ring_;

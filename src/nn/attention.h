@@ -104,9 +104,9 @@ class AdditiveAttention : public Module {
   Output Forward(const Tensor& query, const CachedKeys& cached) const {
     const int l = cached.keys.dim(0);
     Tensor qw = Matmul(query, wg_);                       // (1, d)
-    // Fused row broadcast of the query over every key row (no (l, d)
-    // ExpandRows temporary on the per-decoder-step path).
-    Tensor t = Tanh(AddRowBroadcast(cached.kw, qw));
+    // Row broadcast of the query over every key row (no (l, d) ExpandRows
+    // temporary on the per-decoder-step path).
+    Tensor t = Tanh(Add(cached.kw, qw));
     Tensor scores = Reshape(Matmul(t, v_), {1, l});       // (1, l)
     Tensor alpha = SoftmaxRows(scores);
     return {alpha, Matmul(alpha, cached.keys)};

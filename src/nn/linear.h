@@ -24,7 +24,7 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const {
     Tensor y = Matmul(x, weight_);
-    if (has_bias_) y = AddRowBroadcast(y, bias_);
+    if (has_bias_) y = Add(y, bias_);
     return y;
   }
 

@@ -85,9 +85,9 @@ std::vector<std::vector<NearbySegment>> BatchSegmentsWithinRadius(
     const RoadNetwork& rn, const RTree& rtree, const std::vector<Vec2>& points,
     double radius);
 
-/// Source of radius queries against one road network. The default
-/// implementation answers straight from the R-tree; the serving subsystem
-/// substitutes a grid-cell-keyed LRU cache (src/serve/roadnet_cache.h) whose
+/// Source of radius queries against one road network. Models without one
+/// installed answer straight from the R-tree; the serving subsystem
+/// installs a grid-cell-keyed LRU cache (src/serve/roadnet_cache.h) whose
 /// results are exact — models call through this interface so online sessions
 /// can share hot roadnet work across requests without changing outputs.
 class SegmentQuerySource {
@@ -98,22 +98,6 @@ class SegmentQuerySource {
   /// non-empty network).
   virtual std::vector<NearbySegment> WithinRadius(const Vec2& p,
                                                   double radius) const = 0;
-};
-
-/// The pass-through SegmentQuerySource over a network + R-tree pair.
-class DirectSegmentQuerySource : public SegmentQuerySource {
- public:
-  DirectSegmentQuerySource(const RoadNetwork* rn, const RTree* rtree)
-      : rn_(rn), rtree_(rtree) {}
-
-  std::vector<NearbySegment> WithinRadius(const Vec2& p,
-                                          double radius) const override {
-    return SegmentsWithinRadius(*rn_, *rtree_, p, radius);
-  }
-
- private:
-  const RoadNetwork* rn_;
-  const RTree* rtree_;
 };
 
 /// Builds an R-tree over all segment geometries of a road network.

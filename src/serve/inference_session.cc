@@ -118,26 +118,6 @@ void InferenceSession::ProcessBatch(std::vector<QueuedRequest>&& batch,
     }
   }
 
-  // One lane's outcome, fault-isolated: `run` computes the recovery for
-  // request i; a throw poisons only responses[i], never the worker thread
-  // or the batch's other lanes.
-  const auto run_isolated = [&](size_t i, auto&& run) {
-    const auto infer_start = std::chrono::steady_clock::now();
-    try {
-      responses[i].recovered = run();
-      responses[i].infer_ms = MsSince(infer_start);
-      responses[i].ok = true;
-      responses[i].kind = ResponseKind::kOk;
-      responses[i].degraded = degraded;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      responses[i].kind = ResponseKind::kInternalError;
-      responses[i].error = "internal error: " + DescribeException();
-      responses[i].infer_ms = MsSince(infer_start);
-      faults_.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
   // The forward section, bracketed for tracing. The capture frame mirrors
   // this thread's stage timers (GAT/GRL/transformer/decoder/constraint
   // mask) so the forward span can be split into encode/decode below without
@@ -147,33 +127,30 @@ void InferenceSession::ProcessBatch(std::vector<QueuedRequest>&& batch,
   std::optional<obs::StageCaptureScope> capture;
   if (any_traced) capture.emplace();
 
-  if (degraded) {
-    // Degraded rung: linear interpolation + HMM map matching (the existing
-    // two-stage baseline) instead of the full model. Much cheaper — the
-    // point is to keep the queue draining under overload — and flagged so
-    // callers know what they got.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (sample_of[i] < 0) continue;
-      run_isolated(i, [&] { return fallback_->Recover(samples[sample_of[i]]); });
-    }
-  } else if (!samples.empty()) {
-    // One cross-request forward for the coalesced batch: for RnTrajRec,
-    // RecoverBatch runs a single padded encoder pass plus one fat decoder
-    // step per target timestep. infer_ms reports each request's share of the
-    // batch forward; promises necessarily resolve together — the batch
-    // shares one encoder pass.
+  if (!samples.empty()) {
+    // One cross-request forward for the coalesced batch. On the full model
+    // (RnTrajRec) RecoverBatch runs a single padded encoder pass plus one
+    // fat decoder step per target timestep. On the degraded rung it runs
+    // the Linear+HMM fallback (the existing two-stage baseline): much
+    // cheaper — the point is to keep the queue draining under overload —
+    // and flagged so callers know what they got. infer_ms reports each
+    // request's share of the batch forward; promises resolve together.
+    RecoveryModel* const forward_model = degraded ? fallback_ : model;
+    // Injected throws stand in for full-model failures only.
+    const FaultInjector* const injector = degraded ? nullptr : injector_;
     std::vector<const TrajectorySample*> ptrs;
     ptrs.reserve(samples.size());
     for (const TrajectorySample& s : samples) ptrs.push_back(&s);
     const auto infer_start = std::chrono::steady_clock::now();
     bool batch_ok = false;
     try {
-      if (injector_ != nullptr) {
+      if (injector != nullptr) {
         for (size_t i = 0; i < batch.size(); ++i) {
-          if (sample_of[i] >= 0) injector_->OnForward(batch[i].id);
+          if (sample_of[i] >= 0) injector->OnForward(batch[i].id);
         }
       }
-      std::vector<MatchedTrajectory> recovered = model->RecoverBatch(ptrs);
+      std::vector<MatchedTrajectory> recovered =
+          forward_model->RecoverBatch(ptrs);
       const double per_request_ms =
           MsSince(infer_start) / static_cast<double>(samples.size());
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -182,6 +159,7 @@ void InferenceSession::ProcessBatch(std::vector<QueuedRequest>&& batch,
         responses[i].infer_ms = per_request_ms;
         responses[i].ok = true;
         responses[i].kind = ResponseKind::kOk;
+        responses[i].degraded = degraded;
       }
       requests_.fetch_add(static_cast<int64_t>(samples.size()),
                           std::memory_order_relaxed);
@@ -196,10 +174,21 @@ void InferenceSession::ProcessBatch(std::vector<QueuedRequest>&& batch,
     if (!batch_ok) {
       for (size_t i = 0; i < batch.size(); ++i) {
         if (sample_of[i] < 0) continue;
-        run_isolated(i, [&] {
-          if (injector_ != nullptr) injector_->OnForward(batch[i].id);
-          return model->Recover(samples[sample_of[i]]);
-        });
+        const auto lane_start = std::chrono::steady_clock::now();
+        try {
+          if (injector != nullptr) injector->OnForward(batch[i].id);
+          responses[i].recovered =
+              forward_model->Recover(samples[sample_of[i]]);
+          responses[i].ok = true;
+          responses[i].kind = ResponseKind::kOk;
+          responses[i].degraded = degraded;
+          requests_.fetch_add(1, std::memory_order_relaxed);
+        } catch (...) {
+          responses[i].kind = ResponseKind::kInternalError;
+          responses[i].error = "internal error: " + DescribeException();
+          faults_.fetch_add(1, std::memory_order_relaxed);
+        }
+        responses[i].infer_ms = MsSince(lane_start);
       }
     }
   }

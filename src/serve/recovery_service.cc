@@ -7,7 +7,6 @@
 
 #include "src/baselines/two_stage.h"
 #include "src/obs/stage_profiler.h"
-#include "src/sim/dataset.h"
 #include "src/tensor/buffer_pool.h"
 
 namespace rntraj {
@@ -43,7 +42,7 @@ RecoveryService::RecoveryService(RecoveryModel* model, const ModelContext& ctx,
 
   if (!cfg_.cache_radii.empty()) {
     cache_ = std::make_unique<CellCandidateCache>(
-        ctx.rn, ctx.rtree, ctx.grid, cfg_.cache_radii, cfg_.cache);
+        ctx.rn, ctx.rtree, ctx.grid, cfg_.cache_radii);
     model_->SetSegmentQuerySource(cache_.get());
   }
   if (cfg_.max_dijkstra_rows > 0 && ctx.netdist != nullptr) {
@@ -66,8 +65,7 @@ RecoveryService::RecoveryService(RecoveryModel* model, const ModelContext& ctx,
   g_model_version_->Set(0.0);
 
   if (cfg_.policy.enabled) {
-    policy_ = std::make_unique<ServicePolicy>(cfg_.policy,
-                                              cfg_.batcher.max_queue_depth);
+    policy_ = std::make_unique<ServicePolicy>(cfg_.batcher.max_queue_depth);
     // The degraded rung: linear interpolation + HMM map matching (the
     // existing two-stage baseline). Non-learned, stateless per call, and
     // re-entrant — sessions share one instance.
@@ -125,14 +123,7 @@ void RecoveryService::WorkerLoop(InferenceSession* session) {
     // road representation, ownership) for the whole batch even if a swap
     // flips the service handle mid-forward.
     const std::shared_ptr<const ModelHandle> handle = AcquireModel();
-    if (exclusive_model_) {
-      // Non-re-entrant model: RecoverNow callers share it with this (only)
-      // session, so forwards take turns.
-      std::lock_guard<std::mutex> lock(exclusive_mu_);
-      session->ProcessBatch(std::move(batch), handle->model, handle->version);
-    } else {
-      session->ProcessBatch(std::move(batch), handle->model, handle->version);
-    }
+    session->ProcessBatch(std::move(batch), handle->model, handle->version);
   }
 }
 
@@ -255,44 +246,6 @@ std::future<RecoveryResponse> RecoveryService::Submit(RecoveryRequest req) {
   return future;
 }
 
-RecoveryResponse RecoveryService::RecoverNow(RecoveryRequest req) {
-  RecoveryResponse resp;
-  resp.batch_size = 1;
-  std::string error;
-  if (!ValidateRequest(req, &error)) {
-    resp.kind = ResponseKind::kValidationError;
-    resp.error = std::move(error);
-    return resp;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  TrajectorySample sample = MakeEphemeralSample(
-      std::move(req.input), std::move(req.input_indices), req.target_times);
-  const std::shared_ptr<const ModelHandle> handle = AcquireModel();
-  resp.model_version = handle->version;
-  try {
-    if (exclusive_model_) {
-      std::lock_guard<std::mutex> lock(exclusive_mu_);
-      resp.recovered = handle->model->Recover(sample);
-    } else {
-      resp.recovered = handle->model->Recover(sample);
-    }
-  } catch (const std::exception& e) {
-    resp.kind = ResponseKind::kInternalError;
-    resp.error = std::string("internal error: ") + e.what();
-    return resp;
-  } catch (...) {
-    resp.kind = ResponseKind::kInternalError;
-    resp.error = "internal error: unknown exception";
-    return resp;
-  }
-  resp.infer_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  resp.ok = true;
-  resp.kind = ResponseKind::kOk;
-  return resp;
-}
-
 void RecoveryService::Shutdown() {
   // exchange: exactly one caller proceeds to join (destructor and an
   // explicit Shutdown may race).
@@ -384,7 +337,6 @@ ServeStats RecoveryService::Stats() const {
   ServeStats s;
   s.submitted = c_submitted_->Value();
   s.shed = c_shed_->Value();
-  s.rejected = s.shed;
   s.completed = c_completed_->Value();
   s.ok = c_ok_->Value();
   s.degraded = c_degraded_->Value();
@@ -407,7 +359,6 @@ ServeStats RecoveryService::Stats() const {
     s.policy_state = ps.state;
     s.policy_entered_degraded = ps.entered_degraded;
     s.policy_entered_shedding = ps.entered_shedding;
-    s.recent_deadline_miss_rate = ps.recent_miss_rate;
   }
   const obs::HistogramSnapshot lat = h_latency_ms_->Snapshot();
   s.p50_ms = lat.Quantile(0.50);

@@ -35,10 +35,11 @@
 ///
 /// Robustness layer (PR 6): requests may carry a latency budget
 /// (RecoveryRequest::deadline_ms) that is enforced at dequeue, at dispatch
-/// and after the forward; a hysteretic degradation ladder (ServicePolicy)
-/// routes overload traffic to a cheap Linear+HMM fallback before shedding;
-/// a throwing or stalled forward poisons only its own request's future; and
-/// a deterministic FaultInjector drives the serve_chaos_test suite.
+/// and after the forward; a hysteretic degradation ladder (ServicePolicy,
+/// fixed watermarks) routes overload traffic to a cheap Linear+HMM fallback
+/// before shedding; a throwing or stalled forward poisons only its own
+/// request's future; and a deterministic FaultInjector drives the
+/// serve_chaos_test suite.
 ///
 /// Hot-swap (PR 9): the serving model lives behind a versioned shared-ptr
 /// handle. SwapModel() warms a replacement on the calling thread (query
@@ -61,9 +62,9 @@ struct RecoveryServiceConfig {
   MicroBatcherConfig batcher;
 
   /// Radii the cell candidate cache serves — a model's sub-graph delta and
-  /// the decoder's mask/prior radii. Empty disables the cache.
+  /// the decoder's mask/prior radii. Empty disables the cache; otherwise it
+  /// is built with the default RoadnetCacheConfig.
   std::vector<double> cache_radii;
-  RoadnetCacheConfig cache;
   /// Radii prefetched over each micro-batch's input points (subset of
   /// cache_radii; typically just the sub-graph delta).
   std::vector<double> prefetch_radii;
@@ -76,9 +77,10 @@ struct RecoveryServiceConfig {
   bool warm_model = true;
 
   /// The graceful-degradation ladder (off by default). When enabled, the
-  /// service watches queue depth and deadline-miss rate: DEGRADED routes
-  /// requests to the Linear+HMM fallback (responses flagged `degraded`),
-  /// SHEDDING refuses new admissions outright until the backlog clears.
+  /// service watches queue depth and deadline-miss rate against the fixed
+  /// ServicePolicy watermarks: DEGRADED routes requests to the Linear+HMM
+  /// fallback (responses flagged `degraded`), SHEDDING refuses new
+  /// admissions outright until the backlog clears.
   ServicePolicyConfig policy;
   /// HMM knobs of the degraded-rung fallback recoverer.
   HmmConfig fallback_hmm;
@@ -105,7 +107,6 @@ struct RecoveryServiceConfig {
 /// successes in throughput numbers.
 struct ServeStats {
   int64_t submitted = 0;
-  int64_t rejected = 0;   ///< == shed (kept for older callers).
   int64_t completed = 0;  ///< Responses delivered by sessions (all kinds).
   int64_t batches = 0;
   double mean_batch_size = 0.0;
@@ -123,7 +124,6 @@ struct ServeStats {
   PolicyState policy_state = PolicyState::kOk;
   int64_t policy_entered_degraded = 0;
   int64_t policy_entered_shedding = 0;
-  double recent_deadline_miss_rate = 0.0;
 
   /// Percentiles over *successful* requests' total latency (submit ->
   /// response), milliseconds. Error/shed/missed responses are excluded —
@@ -168,11 +168,6 @@ class RecoveryService {
   /// (ok=false for invalid requests, or immediately when the queue sheds
   /// load, the policy is shedding, or the deadline expired in queue).
   std::future<RecoveryResponse> Submit(RecoveryRequest req);
-
-  /// Answers one request synchronously on the calling thread, bypassing the
-  /// queue (a batch of one, no deadline enforcement; same model, same
-  /// caches). The sequential reference path the benchmarks compare against.
-  RecoveryResponse RecoverNow(RecoveryRequest req);
 
   /// Zero-downtime model replacement. Warms `next` on the calling thread
   /// (installs the shared query caches, eval mode, BeginInference — for
@@ -234,16 +229,14 @@ class RecoveryService {
   /// Builds an immediate shed response and counts it.
   RecoveryResponse ShedResponse(const char* why);
 
-  /// The current model generation, copied once per batch / RecoverNow call.
+  /// The current model generation, copied once per batch.
   std::shared_ptr<const ModelHandle> AcquireModel() const;
 
   RecoveryModel* model_;
   RecoveryServiceConfig cfg_;
   /// True for models whose Recover is not re-entrant: sessions are clamped
-  /// to one, and RecoverNow (caller thread) serializes against that session
-  /// through exclusive_mu_.
+  /// to one.
   bool exclusive_model_ = false;
-  std::mutex exclusive_mu_;
   NetworkDistance* netdist_ = nullptr;  ///< Set iff we capped its row cache.
   int prev_max_dijkstra_rows_ = 0;
   std::unique_ptr<CellCandidateCache> cache_;

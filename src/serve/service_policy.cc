@@ -5,23 +5,16 @@
 namespace rntraj {
 namespace serve {
 
-ServicePolicy::ServicePolicy(const ServicePolicyConfig& config,
-                             size_t max_queue_depth)
-    : cfg_(config), max_depth_(std::max<size_t>(1, max_queue_depth)) {
-  cfg_.window = std::max(1, cfg_.window);
-  cfg_.min_window_fill = std::max(1, std::min(cfg_.min_window_fill, cfg_.window));
-  outcomes_.assign(static_cast<size_t>(cfg_.window), false);
-}
+ServicePolicy::ServicePolicy(size_t max_queue_depth)
+    : max_depth_(std::max<size_t>(1, max_queue_depth)) {}
 
 void ServicePolicy::ObserveDepth(size_t depth) {
-  if (!cfg_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   last_depth_ = depth;
   EvaluateLocked();
 }
 
 void ServicePolicy::RecordOutcome(bool deadline_missed) {
-  if (!cfg_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
   outcomes_[outcome_next_] = deadline_missed;
   outcome_next_ = (outcome_next_ + 1) % outcomes_.size();
@@ -45,32 +38,32 @@ void ServicePolicy::EvaluateLocked() {
   // The miss-rate signal may only *escalate* once the window has enough
   // outcomes to mean something; de-escalation reads an underfilled window
   // as calm (an idle service is a healthy service).
-  const bool miss_trips = outcome_count_ >= static_cast<size_t>(cfg_.min_window_fill) &&
-                          miss_rate >= cfg_.degrade_enter_miss_rate;
+  const bool miss_trips = outcome_count_ >= static_cast<size_t>(kMinWindowFill) &&
+                          miss_rate >= kDegradeEnterMissRate;
 
   PolicyState s = state();
   switch (s) {
     case PolicyState::kOk:
-      if (depth_frac >= cfg_.shed_enter_depth) {
+      if (depth_frac >= kShedEnterDepth) {
         s = PolicyState::kShedding;  // cliff arrival: jump both rungs
         ++entered_degraded_;
         ++entered_shedding_;
-      } else if (depth_frac >= cfg_.degrade_enter_depth || miss_trips) {
+      } else if (depth_frac >= kDegradeEnterDepth || miss_trips) {
         s = PolicyState::kDegraded;
         ++entered_degraded_;
       }
       break;
     case PolicyState::kDegraded:
-      if (depth_frac >= cfg_.shed_enter_depth) {
+      if (depth_frac >= kShedEnterDepth) {
         s = PolicyState::kShedding;
         ++entered_shedding_;
-      } else if (depth_frac <= cfg_.degrade_exit_depth &&
-                 miss_rate <= cfg_.degrade_exit_miss_rate) {
+      } else if (depth_frac <= kDegradeExitDepth &&
+                 miss_rate <= kDegradeExitMissRate) {
         s = PolicyState::kOk;
       }
       break;
     case PolicyState::kShedding:
-      if (depth_frac <= cfg_.shed_exit_depth) {
+      if (depth_frac <= kShedExitDepth) {
         // One rung at a time on the way down: the cheap path must prove it
         // keeps up (DEGRADED) before full service resumes.
         s = PolicyState::kDegraded;

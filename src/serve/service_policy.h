@@ -1,11 +1,11 @@
 #ifndef RNTRAJ_SERVE_SERVICE_POLICY_H_
 #define RNTRAJ_SERVE_SERVICE_POLICY_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <vector>
 
 /// \file service_policy.h
 /// The graceful-degradation ladder of the recovery service: a hysteretic
@@ -19,9 +19,10 @@
 /// matching) so the queue keeps draining under load — responses carry a
 /// `degraded` flag. SHEDDING is the last rung: new admissions are refused
 /// outright (immediate shed response) until the backlog clears. Enter and
-/// exit watermarks are separated (hysteresis) so the ladder does not flap at
-/// a boundary, and the miss-rate signal is a sliding window, so recovery to
-/// OK requires genuinely healthy recent traffic, not one lucky request.
+/// exit watermarks (fixed constants, ServicePolicy::k*) are separated
+/// (hysteresis) so the ladder does not flap at a boundary, and the miss-rate
+/// signal is a sliding window, so recovery to OK requires genuinely healthy
+/// recent traffic, not one lucky request.
 
 namespace rntraj {
 namespace serve {
@@ -38,37 +39,11 @@ inline const char* ToString(PolicyState s) {
   return "?";
 }
 
-/// Watermarks of the ladder. Depth thresholds are fractions of the
-/// admission queue's max_queue_depth; miss rates are fractions of the
-/// outcome window. Every enter threshold must sit above its exit threshold
-/// — that gap is the hysteresis band.
+/// The ladder's switch. The watermarks are ServicePolicy constants.
 struct ServicePolicyConfig {
-  /// Master switch; disabled keeps the pre-PR6 behaviour (full model
-  /// always, shedding only on a full queue).
+  /// Off keeps the pre-ladder behaviour (full model always, shedding only
+  /// on a full queue).
   bool enabled = false;
-
-  /// OK -> DEGRADED when queue depth crosses this fraction (or the miss
-  /// rate trips); DEGRADED -> OK only once depth falls back under the exit
-  /// fraction AND the miss rate has calmed.
-  double degrade_enter_depth = 0.50;
-  double degrade_exit_depth = 0.20;
-
-  /// DEGRADED -> SHEDDING when depth keeps climbing despite the cheap path;
-  /// SHEDDING -> DEGRADED once depth falls back under the exit fraction.
-  double shed_enter_depth = 0.85;
-  double shed_exit_depth = 0.50;
-
-  /// Deadline-miss-rate watermarks over the sliding outcome window.
-  double degrade_enter_miss_rate = 0.20;
-  double degrade_exit_miss_rate = 0.05;
-
-  /// Sliding window of recent answered-request outcomes (missed deadline or
-  /// not) behind the miss-rate signal.
-  int window = 64;
-  /// Outcomes required in the window before the miss rate may *trip* the
-  /// ladder (a single early miss must not degrade an idle service). Exit is
-  /// not gated: an emptying window reads as calm.
-  int min_window_fill = 8;
 };
 
 /// Counters for Stats(): how often each rung was entered.
@@ -81,10 +56,36 @@ struct ServicePolicyStats {
 
 /// Thread-safe ladder. Producers consult `state()` (one atomic load) on the
 /// hot path; transitions are evaluated under a mutex whenever a signal
-/// arrives (a depth observation or an answered-request outcome).
+/// arrives (a depth observation or an answered-request outcome). The
+/// service builds one only when ServicePolicyConfig::enabled is set.
 class ServicePolicy {
  public:
-  ServicePolicy(const ServicePolicyConfig& config, size_t max_queue_depth);
+  /// Watermarks. Depth thresholds are fractions of the admission queue's
+  /// max_queue_depth; miss rates are fractions of the outcome window. Each
+  /// enter threshold sits above its exit threshold: that gap is the
+  /// hysteresis band.
+  ///
+  /// OK -> DEGRADED when queue depth crosses the degrade-enter fraction (or
+  /// the miss rate trips); DEGRADED -> OK only once depth falls back under
+  /// the exit fraction AND the miss rate has calmed.
+  static constexpr double kDegradeEnterDepth = 0.50;
+  static constexpr double kDegradeExitDepth = 0.20;
+  /// DEGRADED -> SHEDDING when depth keeps climbing despite the cheap path;
+  /// SHEDDING -> DEGRADED once depth falls back under the exit fraction.
+  static constexpr double kShedEnterDepth = 0.85;
+  static constexpr double kShedExitDepth = 0.50;
+  /// Deadline-miss-rate watermarks over the sliding outcome window.
+  static constexpr double kDegradeEnterMissRate = 0.20;
+  static constexpr double kDegradeExitMissRate = 0.05;
+  /// Sliding window of recent answered-request outcomes (missed deadline or
+  /// not) behind the miss-rate signal.
+  static constexpr int kWindow = 64;
+  /// Outcomes required in the window before the miss rate may *trip* the
+  /// ladder (a single early miss must not degrade an idle service). Exit is
+  /// not gated: an emptying window reads as calm.
+  static constexpr int kMinWindowFill = 8;
+
+  explicit ServicePolicy(size_t max_queue_depth);
 
   /// Feed the current admission-queue depth (called on submit and on batch
   /// completion). Re-evaluates transitions.
@@ -100,8 +101,6 @@ class ServicePolicy {
     return static_cast<PolicyState>(state_.load(std::memory_order_acquire));
   }
 
-  bool enabled() const { return cfg_.enabled; }
-
   ServicePolicyStats Snapshot() const;
 
  private:
@@ -109,14 +108,13 @@ class ServicePolicy {
   void EvaluateLocked();
   double MissRateLocked() const;
 
-  ServicePolicyConfig cfg_;
   size_t max_depth_;
 
   mutable std::mutex mu_;
   size_t last_depth_ = 0;
-  std::vector<bool> outcomes_;  ///< Ring buffer of deadline-missed flags.
+  std::array<bool, kWindow> outcomes_{};  ///< Ring of deadline-missed flags.
   size_t outcome_next_ = 0;
-  size_t outcome_count_ = 0;  ///< Valid entries (<= cfg_.window).
+  size_t outcome_count_ = 0;  ///< Valid entries (<= kWindow).
   int64_t entered_degraded_ = 0;
   int64_t entered_shedding_ = 0;
 

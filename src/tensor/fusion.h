@@ -43,7 +43,7 @@ enum class Act { kIdentity, kRelu, kLeakyRelu, kSigmoid, kTanh };
 /// act(x + bias). `bias` may be undefined (pure activation), a row vector
 /// ((d) or (1,d), broadcast over x's rows — the Linear bias pattern), or
 /// x-shaped (elementwise — the GRL gate pattern). Generic chain:
-/// Act(AddRowBroadcast(x, bias)) / Act(Add(x, bias)) / Act(x).
+/// Act(Add(x, bias)) / Act(x).
 Tensor BiasAct(const Tensor& x, const Tensor& bias, Act act,
                float leaky_slope = 0.2f);
 

@@ -96,16 +96,12 @@ Tensor SpMM(const Tensor& values, const Tensor& h, const CsrIndexPtr& csr);
 
 // ----- Fused broadcast ops (attention hot path) ------------------------------
 
-/// out[i,:] = a[i,:] + row -> same shape as `a` ((n,d) or rank-1 (d)).
-/// Single-pass row broadcast (bias add, key/query sums).
-Tensor AddRowBroadcast(const Tensor& a, const Tensor& row);
-
 /// Block row broadcast: `a` is (batch*block, d) read as `batch` stacked
 /// blocks of height `block`, `rows` is (batch, d);
 /// out[i*block + r, :] = a[i*block + r, :] + rows[i, :]. The batched-decoder
 /// attention broadcast — each lane's query row is added to every row of its
 /// padded key block — without materialising a (batch*block, d) expansion of
-/// `rows` (the batched counterpart of AddRowBroadcast).
+/// `rows` (the batched counterpart of Add's row broadcast).
 Tensor AddBlockBroadcast(const Tensor& a, const Tensor& rows, int block);
 
 /// Length-masked row softmax: row i is the softmax of its first valid[i]

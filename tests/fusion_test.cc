@@ -222,11 +222,11 @@ TEST(FusionEquivalence, FusedMatchesGenericChain) {
   Tensor layer_norm = Mul(Add(Mul(normed, gamma), beta), row_mask);
 
   const std::vector<std::pair<Tensor, Tensor>> pairs = {
-      {fusion::BiasAct(x, b, fusion::Act::kRelu), Relu(AddRowBroadcast(x, b))},
+      {fusion::BiasAct(x, b, fusion::Act::kRelu), Relu(Add(x, b))},
       {fusion::BiasAct(x, b, fusion::Act::kLeakyRelu, 0.2f),
-       LeakyRelu(AddRowBroadcast(x, b), 0.2f)},
+       LeakyRelu(Add(x, b), 0.2f)},
       {fusion::BiasAct(x, b, fusion::Act::kSigmoid),
-       Sigmoid(AddRowBroadcast(x, b))},
+       Sigmoid(Add(x, b))},
       {fusion::BiasAct(x, a2, fusion::Act::kTanh), Tanh(Add(x, a2))},
       {fusion::BiasAct(x, Tensor(), fusion::Act::kTanh), Tanh(x)},
       {fusion::ResidualLayerNorm(x, a2, gamma, beta, 1e-5f, row_mask),

@@ -49,7 +49,6 @@ using serve::PolicyState;
 using serve::RecoveryResponse;
 using serve::ResponseKind;
 using serve::ServicePolicy;
-using serve::ServicePolicyConfig;
 
 constexpr auto kFutureTimeout = std::chrono::seconds(60);
 
@@ -63,16 +62,18 @@ RecoveryResponse GetOrDie(std::future<RecoveryResponse>& f) {
 
 // ----- ServicePolicy (the ladder in isolation) -------------------------------
 
-ServicePolicyConfig LadderConfig() {
-  ServicePolicyConfig cfg;
-  cfg.enabled = true;
-  cfg.window = 8;
-  cfg.min_window_fill = 2;
-  return cfg;
-}
+// The production watermarks these tests walk through.
+static_assert(ServicePolicy::kDegradeEnterDepth == 0.50);
+static_assert(ServicePolicy::kDegradeExitDepth == 0.20);
+static_assert(ServicePolicy::kShedEnterDepth == 0.85);
+static_assert(ServicePolicy::kShedExitDepth == 0.50);
+static_assert(ServicePolicy::kDegradeEnterMissRate == 0.20);
+static_assert(ServicePolicy::kDegradeExitMissRate == 0.05);
+static_assert(ServicePolicy::kWindow == 64);
+static_assert(ServicePolicy::kMinWindowFill == 8);
 
 TEST(ServicePolicyTest, DepthEscalatesRungByRungWithHysteresis) {
-  ServicePolicy policy(LadderConfig(), /*max_queue_depth=*/100);
+  ServicePolicy policy(/*max_queue_depth=*/100);
   EXPECT_EQ(policy.state(), PolicyState::kOk);
 
   policy.ObserveDepth(49);  // under the 0.50 enter watermark
@@ -98,37 +99,37 @@ TEST(ServicePolicyTest, DepthEscalatesRungByRungWithHysteresis) {
 }
 
 TEST(ServicePolicyTest, MissRateTripsAndRecentGoodTrafficRecovers) {
-  ServicePolicy policy(LadderConfig(), /*max_queue_depth=*/100);
-  // One early miss is below min_window_fill: no escalation on a cold window.
-  policy.RecordOutcome(true);
-  EXPECT_EQ(policy.state(), PolicyState::kOk);
-  policy.RecordOutcome(true);  // 2/2 missed >= 0.20 with the window filled
-  EXPECT_EQ(policy.state(), PolicyState::kDegraded);
-  // Recovery needs the misses to age out of the window (size 8): after 8
-  // consecutive in-deadline outcomes the rate is 0 and depth is already low.
+  ServicePolicy policy(/*max_queue_depth=*/100);
+  // Seven early misses are below the minimum fill of 8: no escalation on a
+  // cold window, however bad its rate.
   for (int i = 0; i < 7; ++i) {
+    policy.RecordOutcome(true);
+    EXPECT_EQ(policy.state(), PolicyState::kOk) << "tripped on " << i + 1;
+  }
+  policy.RecordOutcome(true);  // 8/8 missed >= 0.20 with the window filled
+  EXPECT_EQ(policy.state(), PolicyState::kDegraded);
+  // Recovery needs the misses to age out of the 64-outcome window until the
+  // rate is <= 0.05, i.e. at most 3 of 64. 56 in-deadline outcomes fill the
+  // window (8/64 missed); each later one evicts a miss, so the 61st leaves
+  // 3/64 = 0.047 and the ladder steps down. Until then the rate sits in the
+  // hysteresis band (under the 0.20 enter mark, over the 0.05 exit mark).
+  for (int i = 0; i < 60; ++i) {
     policy.RecordOutcome(false);
-    EXPECT_EQ(policy.state(), PolicyState::kDegraded) << "aged out too early";
+    EXPECT_EQ(policy.state(), PolicyState::kDegraded)
+        << "aged out too early, after " << i + 1;
   }
   policy.RecordOutcome(false);
   EXPECT_EQ(policy.state(), PolicyState::kOk);
+  EXPECT_EQ(policy.Snapshot().entered_degraded, 1);
 }
 
 TEST(ServicePolicyTest, DirectCliffArrivalJumpsToShedding) {
-  ServicePolicy policy(LadderConfig(), /*max_queue_depth=*/10);
+  ServicePolicy policy(/*max_queue_depth=*/10);
   policy.ObserveDepth(10);
   EXPECT_EQ(policy.state(), PolicyState::kShedding);
   const auto st = policy.Snapshot();
   EXPECT_EQ(st.entered_degraded, 1);  // both rungs counted on the jump
   EXPECT_EQ(st.entered_shedding, 1);
-}
-
-TEST(ServicePolicyTest, DisabledLadderNeverMoves) {
-  ServicePolicyConfig cfg;  // enabled = false
-  ServicePolicy policy(cfg, 10);
-  policy.ObserveDepth(10);
-  for (int i = 0; i < 16; ++i) policy.RecordOutcome(true);
-  EXPECT_EQ(policy.state(), PolicyState::kOk);
 }
 
 // ----- FaultInjector ---------------------------------------------------------
@@ -415,15 +416,77 @@ TEST_F(ServeChaosFixture, StalledSessionMissesDeadlinesButNeverHangs) {
 
 // ----- Degradation ladder end to end -----------------------------------------
 
+TEST_F(ServeChaosFixture, LadderOffNeverDegradesOrShedsUnderMisses) {
+  // The ladder is off by default. Stalls that blow every budget, over a
+  // burst that fills the miss-rate window and the whole admission queue,
+  // would walk a ladder-on service to DEGRADED and SHEDDING. With it off,
+  // a request either misses its deadline (or finds the queue full) or gets
+  // the full model's answer.
+  serve::RecoveryServiceConfig scfg = BaseServiceConfig();
+  ASSERT_FALSE(scfg.policy.enabled);
+  scfg.num_sessions = 1;
+  scfg.batcher.max_queue_depth = ServicePolicy::kWindow;
+  scfg.fault.stall_probability = 1.0;
+  scfg.fault.stall_ms = 20;
+  serve::RecoveryService service(model_, *ctx_, scfg);
+
+  // Wave 1: every budget is tighter than one stall, so every request waits
+  // out at least one stall and misses.
+  std::vector<std::future<RecoveryResponse>> futures;
+  for (int i = 0; i < ServicePolicy::kWindow; ++i) {
+    serve::RecoveryRequest req =
+        serve::RequestFromSample(dataset_->test()[i % dataset_->test().size()]);
+    req.deadline_ms = 10.0;
+    futures.push_back(service.Submit(std::move(req)));
+  }
+  for (auto& f : futures) {
+    const RecoveryResponse resp = GetOrDie(f);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_FALSE(resp.degraded);
+    if (resp.kind == ResponseKind::kShed) {
+      EXPECT_EQ(resp.error.find("shedding load"), std::string::npos)
+          << resp.error;
+    } else {
+      EXPECT_EQ(resp.kind, ResponseKind::kDeadlineMissed) << resp.error;
+    }
+  }
+
+  // Wave 2: generous budgets. A tripped ladder would answer these from the
+  // fallback; with it off they are the full model's answers.
+  futures.clear();
+  for (const auto& s : dataset_->test()) {
+    serve::RecoveryRequest req = serve::RequestFromSample(s);
+    req.deadline_ms = 5000.0;
+    futures.push_back(service.Submit(std::move(req)));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const RecoveryResponse resp = GetOrDie(futures[i]);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.degraded);
+    ExpectMatchesReference(resp, i);
+  }
+
+  const auto stats = service.Stats();
+  EXPECT_EQ(stats.deadline_missed + stats.shed, ServicePolicy::kWindow);
+  EXPECT_GE(stats.deadline_missed, ServicePolicy::kMinWindowFill);
+  EXPECT_EQ(stats.ok, static_cast<int64_t>(dataset_->test().size()));
+  EXPECT_EQ(stats.degraded, 0);
+  EXPECT_EQ(stats.policy_state, PolicyState::kOk);
+  EXPECT_EQ(stats.policy_entered_degraded, 0);
+  EXPECT_EQ(stats.policy_entered_shedding, 0);
+}
+
 TEST_F(ServeChaosFixture, LadderDegradesUnderMissesThenRecoversToOk) {
   serve::RecoveryServiceConfig scfg = BaseServiceConfig();
   scfg.num_sessions = 1;
-  scfg.policy = LadderConfig();  // window 8, min fill 2
+  scfg.policy.enabled = true;
   // Stalls wedge the (only) session so deadlines miss; the budget models
-  // the fault clearing after 4 stalled batches.
+  // the fault clearing after as many stalled batches as the miss-rate
+  // window needs outcomes before it may trip.
+  constexpr int kStalls = ServicePolicy::kMinWindowFill;
   scfg.fault.stall_probability = 1.0;
   scfg.fault.stall_ms = 40;
-  scfg.fault.max_faults = 4;
+  scfg.fault.max_faults = kStalls;
   serve::RecoveryService service(model_, *ctx_, scfg);
 
   const auto submit_one = [&](size_t sample, double deadline_ms) {
@@ -437,23 +500,24 @@ TEST_F(ServeChaosFixture, LadderDegradesUnderMissesThenRecoversToOk) {
   // Phase 1 — the fault is live: serial requests with budgets tighter than
   // the stall miss their deadlines and trip the ladder.
   int missed = 0;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < kStalls; ++i) {
     const RecoveryResponse resp = submit_one(i % dataset_->test().size(), 15.0);
     if (resp.kind == ResponseKind::kDeadlineMissed) ++missed;
   }
-  EXPECT_GE(missed, 2);
+  EXPECT_GE(missed, 2);  // >= 0.20 of the 8 outcomes the window needs
   EXPECT_EQ(service.Stats().policy_state, PolicyState::kDegraded);
   EXPECT_GE(service.Stats().policy_entered_degraded, 1);
 
   // Phase 2 — the fault has cleared (budget spent) but the ladder is still
   // DEGRADED: requests are answered by the Linear+HMM fallback, flagged,
   // in budget, and matching the fallback reference exactly (it is
-  // deterministic).
+  // deterministic). The misses must age out of the 64-outcome window first.
   LinearHmmModel fallback_ref(*ctx_, scfg.fallback_hmm);
   bool saw_degraded = false;
   int recovery_rounds = 0;
   while (service.Stats().policy_state != PolicyState::kOk) {
-    ASSERT_LT(recovery_rounds, 64) << "ladder never returned to OK";
+    ASSERT_LT(recovery_rounds, 2 * ServicePolicy::kWindow)
+        << "ladder never returned to OK";
     const size_t sample = recovery_rounds++ % dataset_->test().size();
     const RecoveryResponse resp = submit_one(sample, 5000.0);
     ASSERT_TRUE(resp.ok) << resp.error;
@@ -492,7 +556,7 @@ TEST_F(ServeChaosFixture, LadderDegradesUnderMissesThenRecoversToOk) {
 
 TEST_F(ServeChaosFixture, CombinedChaosEveryFutureResolvesAndCountsAddUp) {
   serve::RecoveryServiceConfig scfg = BaseServiceConfig();
-  scfg.policy = LadderConfig();
+  scfg.policy.enabled = true;
   scfg.fault.seed = 23;
   scfg.fault.throw_probability = 0.25;
   scfg.fault.stall_probability = 0.25;

@@ -395,28 +395,7 @@ TEST_F(ServeFixture, ServiceMatchesSequentialInference) {
   }
   const auto stats = service.Stats();
   EXPECT_EQ(stats.completed, static_cast<int64_t>(dataset_->test().size()));
-  EXPECT_EQ(stats.rejected, 0);
-}
-
-TEST_F(ServeFixture, ServiceRecoverNowMatchesSubmit) {
-  SeedGlobalRng(52);
-  RnTrajRec model(SmallConfig(), *ctx_);
-  serve::RecoveryServiceConfig scfg;
-  scfg.num_sessions = 1;
-  serve::RecoveryService service(&model, *ctx_, scfg);
-
-  const auto& s = dataset_->test()[1];
-  serve::RecoveryResponse now = service.RecoverNow(serve::RequestFromSample(s));
-  ASSERT_TRUE(now.ok) << now.error;
-  serve::RecoveryResponse queued =
-      service.Submit(serve::RequestFromSample(s)).get();
-  ASSERT_TRUE(queued.ok) << queued.error;
-  ASSERT_EQ(now.recovered.size(), queued.recovered.size());
-  for (int j = 0; j < now.recovered.size(); ++j) {
-    EXPECT_EQ(now.recovered.points[j].seg_id, queued.recovered.points[j].seg_id);
-    EXPECT_NEAR(now.recovered.points[j].ratio, queued.recovered.points[j].ratio,
-                1e-5);
-  }
+  EXPECT_EQ(stats.shed, 0);
 }
 
 TEST_F(ServeFixture, MicroBatchedServiceMatchesSingleRequestBatches) {
@@ -498,19 +477,24 @@ TEST_F(ServeFixture, ServiceRejectsMalformedRequests) {
   serve::RecoveryRequest empty;
   serve::RecoveryResponse resp = service.Submit(std::move(empty)).get();
   EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.kind, serve::ResponseKind::kValidationError);
   EXPECT_FALSE(resp.error.empty());
 
   serve::RecoveryRequest bad = serve::RequestFromSample(dataset_->test()[0]);
   bad.input_indices.pop_back();  // misaligned
-  resp = service.RecoverNow(std::move(bad));
+  resp = service.Submit(std::move(bad)).get();
   EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.kind, serve::ResponseKind::kValidationError);
 
   // Non-finite timestamps must be rejected before they can reach the
   // interpolator (NaN defeats ordering comparisons).
   serve::RecoveryRequest nan_req = serve::RequestFromSample(dataset_->test()[0]);
   nan_req.target_times[1] = std::nan("");
-  resp = service.RecoverNow(std::move(nan_req));
+  resp = service.Submit(std::move(nan_req)).get();
   EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.kind, serve::ResponseKind::kValidationError);
+
+  EXPECT_EQ(service.Stats().validation_error, 3);
 }
 
 TEST_F(ServeFixture, WorkloadGeneratorIsDeterministicAndOrdered) {
