@@ -5,8 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <optional>
+#include <thread>
 
+#include "src/baselines/two_stage.h"
 #include "src/baselines/zoo.h"
 #include "src/common/random.h"
 #include "src/core/decoder.h"
@@ -418,6 +421,43 @@ void BM_HmmMatchTrajectory(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmmMatchTrajectory);
+
+/// Linear+HMM, the serving ladder's degraded rung, over one shared, warmed
+/// NetworkDistance on Chengdu small keep 1/8 (270 segments). Arg0 = threads
+/// matching at once: the timed thread plus Arg0 - 1 helpers looping the same
+/// matches. Arg1 = the row cap (0 = unbounded, 1024 = the serving cap). Time
+/// is per match on the timed thread, so Arg0 = 3 over Arg0 = 1 is the
+/// slowdown a match sees when three sessions run the fallback together.
+void BM_HmmShared(benchmark::State& state) {
+  static const std::unique_ptr<Dataset> ds =
+      BuildDataset(ChengduConfig(BenchScale::kSmall, 8));
+  NetworkDistance nd(&ds->roadnet(), static_cast<int>(state.range(1)));
+  ModelContext ctx = ModelContext::FromDataset(*ds);
+  ctx.netdist = &nd;
+  LinearHmmModel model(ctx);
+  const std::vector<TrajectorySample>& samples = ds->test();
+  for (const auto& s : samples) model.Recover(s);  // warm the shared rows
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> helpers;
+  for (int t = 1; t < state.range(0); ++t) {
+    helpers.emplace_back([&, t] {
+      for (size_t i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        benchmark::DoNotOptimize(model.Recover(samples[i % samples.size()]));
+      }
+    });
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.Recover(samples[i++ % samples.size()]));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& h : helpers) h.join();
+  state.counters["cached_rows"] = nd.cached_rows();
+}
+BENCHMARK(BM_HmmShared)
+    ->ArgsProduct({{1, 3}, {0, 1024}})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_RnTrajRecInference(benchmark::State& state) {
   auto& w = TheWorld();

@@ -26,7 +26,7 @@ struct ModelContext {
   const RoadNetwork* rn = nullptr;
   const GridMapping* grid = nullptr;
   const RTree* rtree = nullptr;
-  NetworkDistance* netdist = nullptr;
+  const NetworkDistance* netdist = nullptr;
   double eps_rho = 12.0;
 
   static ModelContext FromDataset(const Dataset& ds) {

@@ -25,7 +25,7 @@ PathScore ScoreTravelPath(const std::vector<int>& truth_path,
   return s;
 }
 
-RecoveryMetrics EvaluateRecovery(NetworkDistance& nd,
+RecoveryMetrics EvaluateRecovery(const NetworkDistance& nd,
                                  const std::vector<MatchedTrajectory>& preds,
                                  const std::vector<MatchedTrajectory>& truths) {
   RNTRAJ_CHECK_MSG(preds.size() == truths.size(), "pred/truth count mismatch");

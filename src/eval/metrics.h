@@ -40,7 +40,7 @@ PathScore ScoreTravelPath(const std::vector<int>& truth_path,
 
 /// Full metric suite over aligned prediction/truth pairs (equal lengths,
 /// matching timestamps).
-RecoveryMetrics EvaluateRecovery(NetworkDistance& nd,
+RecoveryMetrics EvaluateRecovery(const NetworkDistance& nd,
                                  const std::vector<MatchedTrajectory>& preds,
                                  const std::vector<MatchedTrajectory>& truths);
 

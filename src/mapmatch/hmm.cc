@@ -19,7 +19,8 @@ struct Candidate {
 }  // namespace
 
 MatchedTrajectory HmmMapMatch(const RoadNetwork& rn, const RTree& rtree,
-                              NetworkDistance& nd, const RawTrajectory& traj,
+                              const NetworkDistance& nd,
+                              const RawTrajectory& traj,
                               const HmmConfig& cfg) {
   MatchedTrajectory out;
   if (traj.empty()) return out;

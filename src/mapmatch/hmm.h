@@ -29,7 +29,8 @@ struct HmmConfig {
 /// Map-matches a raw trajectory; output has one matched point per input
 /// point (same timestamps).
 MatchedTrajectory HmmMapMatch(const RoadNetwork& rn, const RTree& rtree,
-                              NetworkDistance& nd, const RawTrajectory& traj,
+                              const NetworkDistance& nd,
+                              const RawTrajectory& traj,
                               const HmmConfig& config = {});
 
 }  // namespace rntraj

@@ -2,14 +2,24 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <queue>
 
 namespace rntraj {
 
-NetworkDistance::RowPtr NetworkDistance::ComputeRow(int src) const {
+NetworkDistance::NetworkDistance(const RoadNetwork* rn, int max_cached_rows)
+    : rn_(rn),
+      max_rows_(max_cached_rows),
+      rows_(rn->num_segments()),
+      bounded_misses_(rn->num_segments()) {}
+
+NetworkDistance::~NetworkDistance() {
+  for (auto& slot : rows_) delete slot.load(std::memory_order_relaxed);
+}
+
+std::unique_ptr<NetworkDistance::DistRow> NetworkDistance::ComputeRow(
+    int src) const {
   const int n = rn_->num_segments();
-  auto dist = std::make_shared<std::vector<double>>(n, kUnreachable);
+  auto dist = std::make_unique<DistRow>(n, kUnreachable);
   using Item = std::pair<double, int>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
   (*dist)[src] = 0.0;
@@ -30,53 +40,45 @@ NetworkDistance::RowPtr NetworkDistance::ComputeRow(int src) const {
   return dist;
 }
 
-void NetworkDistance::TouchLocked(int src) const {
-  if (max_rows_ <= 0) return;
-  auto it = rows_.find(src);
-  if (it == rows_.end()) return;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+bool NetworkDistance::ReserveRow() const {
+  int taken = reserved_.load(std::memory_order_relaxed);
+  do {
+    if (max_rows_ > 0 && taken >= max_rows_) return false;
+  } while (!reserved_.compare_exchange_weak(taken, taken + 1,
+                                            std::memory_order_relaxed));
+  return true;
 }
 
-void NetworkDistance::EvictLocked() const {
-  while (max_rows_ > 0 && static_cast<int>(rows_.size()) > max_rows_) {
-    rows_.erase(lru_.back());
-    lru_.pop_back();
+const NetworkDistance::DistRow* NetworkDistance::PublishRow(
+    int src, std::unique_ptr<DistRow> row) const {
+  const DistRow* winner = nullptr;
+  if (rows_[src].compare_exchange_strong(winner, row.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+    return row.release();  // owned by the slot until the destructor
   }
+  // Another thread published this source first: hand back our slot of the
+  // cap; our duplicate row is freed on return.
+  reserved_.fetch_sub(1, std::memory_order_relaxed);
+  return winner;
 }
 
-NetworkDistance::RowPtr NetworkDistance::CachedRow(int src) const {
-  // Hits return under the shared lock in both modes, so concurrent sessions
-  // never serialize on lookups. In capped mode the recency update is
-  // opportunistic (try_to_lock below): a skipped touch only degrades the
-  // LRU towards FIFO, never correctness.
-  std::shared_lock lock(mu_);
-  auto it = rows_.find(src);
-  if (it == rows_.end()) return nullptr;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  RowPtr row = it->second.row;
-  const bool touch = max_rows_ > 0;
-  lock.unlock();
-  if (touch) {
-    std::unique_lock ul(mu_, std::try_to_lock);
-    if (ul.owns_lock()) TouchLocked(src);
+const NetworkDistance::DistRow* NetworkDistance::Row(int src) const {
+  if (const DistRow* row = rows_[src].load(std::memory_order_acquire)) {
+    return row;
   }
-  return row;
-}
-
-NetworkDistance::RowPtr NetworkDistance::Row(int src) const {
-  if (RowPtr row = CachedRow(src)) return row;
-  // Dijkstra outside any lock: concurrent misses on distinct sources run in
-  // parallel (duplicated work on the same source is possible but harmless).
-  RowPtr row = ComputeRow(src);
-  std::unique_lock lock(mu_);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  auto [it, inserted] = rows_.try_emplace(src);
-  if (inserted) {
-    lru_.push_front(src);
-    it->second = {row, lru_.begin()};
-    EvictLocked();
-  }
-  return it->second.row;
+  // The cap is reserved before the Dijkstra, so a full table never builds a
+  // row it cannot keep. The Dijkstra runs outside any lock: concurrent
+  // misses on distinct sources run in parallel (duplicated work on the same
+  // source is possible but harmless; PublishRow keeps one).
+  if (!ReserveRow()) return nullptr;
+  return PublishRow(src, ComputeRow(src));
+}
+
+double NetworkDistance::StartToStart(int from, int to) const {
+  if (const DistRow* row = Row(from)) return (*row)[to];
+  return TargetedSearch(from, to);
 }
 
 double NetworkDistance::TargetedSearch(int from, int to) const {
@@ -85,7 +87,7 @@ double NetworkDistance::TargetedSearch(int from, int to) const {
   // queries explore only the ball around the source that reaches the target
   // instead of the whole graph.
   const int n = rn_->num_segments();
-  auto dist = std::make_shared<std::vector<double>>(n, kUnreachable);
+  auto dist = std::make_unique<DistRow>(n, kUnreachable);
   using Item = std::pair<double, int>;
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
   (*dist)[from] = 0.0;
@@ -106,41 +108,28 @@ double NetworkDistance::TargetedSearch(int from, int to) const {
   }
   // Frontier exhausted without settling `to` (unreachable target): the run
   // did a full Dijkstra's work, so `dist` IS the complete source row —
-  // cache it instead of discarding it, exactly as Row() would have.
-  std::unique_lock lock(mu_);
-  bounded_miss_counts_.erase(from);
-  auto [it, inserted] = rows_.try_emplace(from);
-  if (inserted) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    lru_.push_front(from);
-    it->second = {std::move(dist), lru_.begin()};
-    EvictLocked();
-  }
-  return (*it->second.row)[to];
+  // cache it instead of discarding it, exactly as Row() would have, when
+  // the cap has room.
+  if (!ReserveRow()) return (*dist)[to];
+  return (*PublishRow(from, std::move(dist)))[to];
 }
 
 double NetworkDistance::BoundedStartToStart(int from, int to) const {
-  if (RowPtr row = CachedRow(from)) return (*row)[to];
+  if (const DistRow* row = rows_[from].load(std::memory_order_acquire)) {
+    return (*row)[to];
+  }
   // Miss: count it; frequent sources graduate to a full cached row so
   // many-targets-per-source workloads (HMM transitions, metric sweeps) keep
-  // their amortised one-Dijkstra-per-source cost.
-  int miss_count;
-  {
-    std::unique_lock lock(mu_);
-    miss_count = ++bounded_miss_counts_[from];
-    if (miss_count >= kPromoteMisses) bounded_miss_counts_.erase(from);
+  // their amortised one-Dijkstra-per-source cost. A full cap leaves nothing
+  // to graduate to, so the count is left alone.
+  const bool full =
+      max_rows_ > 0 && reserved_.load(std::memory_order_relaxed) >= max_rows_;
+  if (!full && bounded_misses_[from].fetch_add(1, std::memory_order_relaxed) >=
+                   kPromoteMisses - 1) {
+    if (const DistRow* row = Row(from)) return (*row)[to];
   }
-  if (miss_count >= kPromoteMisses) return StartToStart(from, to);
   bounded_.fetch_add(1, std::memory_order_relaxed);
   return TargetedSearch(from, to);
-}
-
-void NetworkDistance::set_max_cached_rows(int cap) {
-  // The recency list is maintained in both modes (hits just don't reorder it
-  // while unbounded), so switching modes only needs an eviction sweep.
-  std::unique_lock lock(mu_);
-  max_rows_ = cap;
-  EvictLocked();
 }
 
 double NetworkDistance::CycleThrough(int seg) const {

@@ -2,11 +2,9 @@
 #define RNTRAJ_ROADNET_SHORTEST_PATH_H_
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
-#include <list>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/roadnet/road_network.h"
@@ -28,33 +26,36 @@ namespace rntraj {
 
 /// Lazy all-pairs network distances with per-source Dijkstra row caching.
 ///
-/// Thread-safe: rows are computed outside the lock and shared through
-/// reference-counted handles, so concurrent readers (serving sessions, the
-/// data-parallel trainer) never block on each other's Dijkstra runs and never
-/// observe a row mid-eviction. With `max_cached_rows` > 0 the cache is a true
-/// LRU (the serving configuration: bounds memory at |V| doubles per row);
-/// the default 0 keeps every row, matching the offline pipelines that sweep
-/// all sources anyway.
+/// Thread-safe and write-once: the table holds one atomic row slot per
+/// source segment, sized at construction. A row is computed outside any lock
+/// and published by one compare-and-swap (a racer that loses deletes its copy
+/// and uses the winner's row); it is freed only by the destructor. A hit is
+/// therefore one acquire load: no lock, no reference count and no shared
+/// write, so concurrent readers (serving sessions, the data-parallel trainer)
+/// never contend on lookups.
+///
+/// `max_cached_rows` > 0 is an admission cap, not an eviction policy: a row
+/// takes a slot from an atomic count before it is computed, and once the
+/// count is full every uncached source is answered by a target-pruned search
+/// that builds no row. There is no eviction because no served city exceeds
+/// the serving cap (1024 rows against 270 and 848 segments in the serving
+/// benchmarks), so a replacement policy would only add shared writes to the
+/// hit path. The default 0 keeps every row, matching the offline pipelines
+/// that sweep all sources anyway.
 class NetworkDistance {
  public:
-  explicit NetworkDistance(const RoadNetwork* rn, int max_cached_rows = 0)
-      : rn_(rn), max_rows_(max_cached_rows) {}
+  explicit NetworkDistance(const RoadNetwork* rn, int max_cached_rows = 0);
+  ~NetworkDistance();
+
+  NetworkDistance(const NetworkDistance&) = delete;
+  NetworkDistance& operator=(const NetworkDistance&) = delete;
 
   static constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-  /// Caps the number of cached Dijkstra rows (0 = unbounded), evicting the
-  /// least-recently-used rows immediately if over the new cap.
-  void set_max_cached_rows(int cap);
-
-  int max_cached_rows() const {
-    std::shared_lock lock(mu_);
-    return max_rows_;
-  }
-
   /// Shortest travel distance from the start of segment `from` to the start
-  /// of segment `to` (0 when from == to). Always computes (and caches) the
-  /// full source row — the all-pairs sweep primitive.
-  double StartToStart(int from, int to) const { return (*Row(from))[to]; }
+  /// of segment `to` (0 when from == to). Computes (and caches) the full
+  /// source row while the cap has room — the all-pairs sweep primitive.
+  double StartToStart(int from, int to) const;
 
   /// Shortest strictly-positive cycle leaving and re-entering segment `seg`.
   double CycleThrough(int seg) const;
@@ -66,14 +67,12 @@ class NetworkDistance {
   /// when the network offers no route in either direction.
   double Symmetric(int seg_a, double ratio_a, int seg_b, double ratio_b) const;
 
-  /// Number of Dijkstra source rows currently cached (for tests/benchmarks).
-  int cached_rows() const {
-    std::shared_lock lock(mu_);
-    return static_cast<int>(rows_.size());
-  }
+  /// Number of Dijkstra source rows cached or being computed (for
+  /// tests/benchmarks); never exceeds a nonzero cap.
+  int cached_rows() const { return reserved_.load(std::memory_order_relaxed); }
 
-  /// Rows served from cache / computed (for serving telemetry).
-  int64_t row_hits() const { return hits_.load(std::memory_order_relaxed); }
+  /// Full-row lookups that found no cached row (for serving telemetry):
+  /// each computed a row or, with the cap full, ran a target-pruned search.
   int64_t row_misses() const { return misses_.load(std::memory_order_relaxed); }
 
   /// Target-pruned Dijkstra runs taken by PointToPoint/CycleThrough on row
@@ -83,11 +82,14 @@ class NetworkDistance {
   }
 
  private:
+  using DistRow = std::vector<double>;
+
   /// Single-pair distance with an early-exit bound: a cached row answers
   /// immediately; otherwise a Dijkstra that stops the heap as soon as `to`
   /// is settled (instead of exhausting the frontier). Repeated misses on one
-  /// source (kPromoteMisses) promote it to a full cached row, preserving the
-  /// amortised one-Dijkstra-per-source cost of all-pairs sweeps.
+  /// source (kPromoteMisses) promote it to a full cached row while the cap
+  /// has room, preserving the amortised one-Dijkstra-per-source cost of
+  /// all-pairs sweeps.
   double BoundedStartToStart(int from, int to) const;
 
   /// The early-exit Dijkstra behind BoundedStartToStart. When the target is
@@ -98,30 +100,25 @@ class NetworkDistance {
 
   /// Bounded misses on one source before it graduates to a full Row().
   static constexpr int kPromoteMisses = 4;
-  using RowPtr = std::shared_ptr<const std::vector<double>>;
 
-  struct Entry {
-    RowPtr row;
-    std::list<int>::iterator lru_it;  ///< Position in lru_ (capped mode only).
-  };
-
-  RowPtr Row(int src) const;
-  RowPtr ComputeRow(int src) const;
-  /// Shared-lock cache lookup with hit accounting and the opportunistic LRU
-  /// touch; null on miss. The one fast path under Row() and
-  /// BoundedStartToStart().
-  RowPtr CachedRow(int src) const;
-  /// Inserts (or refreshes) under an already-held exclusive lock.
-  void TouchLocked(int src) const;
-  void EvictLocked() const;
+  /// The cached row of `src`, computing and publishing it on a miss; null
+  /// when the row is uncached and the cap is full.
+  const DistRow* Row(int src) const;
+  std::unique_ptr<DistRow> ComputeRow(int src) const;
+  /// Takes one slot of the admission cap; false when it is full.
+  bool ReserveRow() const;
+  /// Publishes a row computed under a reserved slot; returns the row that
+  /// holds the slot (ours, or the winner's when another thread got there
+  /// first).
+  const DistRow* PublishRow(int src, std::unique_ptr<DistRow> row) const;
 
   const RoadNetwork* rn_;
-  int max_rows_ = 0;
-  mutable std::shared_mutex mu_;
-  mutable std::unordered_map<int, Entry> rows_;
-  mutable std::list<int> lru_;  ///< Front = most recently used.
-  mutable std::unordered_map<int, int> bounded_miss_counts_;  ///< By mu_.
-  mutable std::atomic<int64_t> hits_{0};
+  const int max_rows_;
+  /// One write-once slot per source: null until its row is published.
+  mutable std::vector<std::atomic<const DistRow*>> rows_;
+  /// Bounded misses per source, counted towards promotion.
+  mutable std::vector<std::atomic<uint8_t>> bounded_misses_;
+  mutable std::atomic<int> reserved_{0};
   mutable std::atomic<int64_t> misses_{0};
   mutable std::atomic<int64_t> bounded_{0};
 };

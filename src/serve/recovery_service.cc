@@ -45,14 +45,6 @@ RecoveryService::RecoveryService(RecoveryModel* model, const ModelContext& ctx,
         ctx.rn, ctx.rtree, ctx.grid, cfg_.cache_radii);
     model_->SetSegmentQuerySource(cache_.get());
   }
-  if (cfg_.max_dijkstra_rows > 0 && ctx.netdist != nullptr) {
-    // The dataset's NetworkDistance is shared with offline pipelines;
-    // remember its cap so shutdown restores it (an offline all-pairs metrics
-    // sweep under a serving-sized LRU would thrash Dijkstra recomputation).
-    netdist_ = ctx.netdist;
-    prev_max_dijkstra_rows_ = netdist_->max_cached_rows();
-    netdist_->set_max_cached_rows(cfg_.max_dijkstra_rows);
-  }
   if (cfg_.warm_model) {
     // The re-entrant session warmup: road representation (GridGNN forward)
     // computed once here, shared read-only by every request after.
@@ -68,8 +60,15 @@ RecoveryService::RecoveryService(RecoveryModel* model, const ModelContext& ctx,
     policy_ = std::make_unique<ServicePolicy>(cfg_.batcher.max_queue_depth);
     // The degraded rung: linear interpolation + HMM map matching (the
     // existing two-stage baseline). Non-learned, stateless per call, and
-    // re-entrant — sessions share one instance.
-    fallback_ = std::make_unique<LinearHmmModel>(ctx, cfg_.fallback_hmm);
+    // re-entrant — sessions share one instance. It reads its own distance
+    // table, capped at max_dijkstra_rows: the dataset's shared instance
+    // (uncapped, swept by offline pipelines) is never touched.
+    fallback_netdist_ =
+        std::make_unique<NetworkDistance>(ctx.rn, cfg_.max_dijkstra_rows);
+    ModelContext fallback_ctx = ctx;
+    fallback_ctx.netdist = fallback_netdist_.get();
+    fallback_ =
+        std::make_unique<LinearHmmModel>(fallback_ctx, cfg_.fallback_hmm);
   }
   if (cfg_.fault.any_enabled()) {
     injector_ = std::make_unique<FaultInjector>(cfg_.fault);
@@ -103,9 +102,6 @@ RecoveryService::~RecoveryService() {
     // Every swapped-in generation had the shared cache installed too; the
     // workers are joined, so the uninstalls race nothing.
     for (auto& m : swapped_models_) m->SetSegmentQuerySource(nullptr);
-  }
-  if (netdist_ != nullptr) {
-    netdist_->set_max_cached_rows(prev_max_dijkstra_rows_);
   }
   if (cfg_.profile_stages) {
     obs::StageProfiler::Global().set_enabled(prev_profile_enabled_);

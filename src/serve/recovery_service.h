@@ -69,8 +69,10 @@ struct RecoveryServiceConfig {
   /// cache_radii; typically just the sub-graph delta).
   std::vector<double> prefetch_radii;
 
-  /// Cap on NetworkDistance's Dijkstra row cache (serving HMM-style models
-  /// must not keep an all-pairs matrix resident). 0 leaves it unbounded.
+  /// Admission cap on the degraded rung's own NetworkDistance row cache (a
+  /// served fallback must not keep an all-pairs matrix resident); 0 leaves
+  /// it unbounded. It bounds only the cache the service builds for its
+  /// fallback: the dataset's shared instance is never touched.
   int max_dijkstra_rows = 0;
 
   /// Run BeginInference() (road representation warmup) at construction.
@@ -237,8 +239,6 @@ class RecoveryService {
   /// True for models whose Recover is not re-entrant: sessions are clamped
   /// to one.
   bool exclusive_model_ = false;
-  NetworkDistance* netdist_ = nullptr;  ///< Set iff we capped its row cache.
-  int prev_max_dijkstra_rows_ = 0;
   std::unique_ptr<CellCandidateCache> cache_;
   /// Hot-swap state. Declared after cache_: handles (and the swapped-in
   /// models they own) must be destroyed before the query cache they were
@@ -253,6 +253,9 @@ class RecoveryService {
   std::vector<std::shared_ptr<RecoveryModel>> swapped_models_;
   std::unique_ptr<ServicePolicy> policy_;
   std::unique_ptr<FaultInjector> injector_;
+  /// The fallback's own Dijkstra row table; declared before fallback_,
+  /// which reads it.
+  std::unique_ptr<NetworkDistance> fallback_netdist_;
   /// The degraded rung's recoverer (Linear+HMM two-stage baseline); only
   /// built when the ladder is enabled. Stateless per call and re-entrant.
   std::unique_ptr<RecoveryModel> fallback_;

@@ -70,7 +70,7 @@ class Dataset {
   const RoadNetwork& roadnet() const { return roadnet_; }
   const GridMapping& grid() const { return grid_; }
   const RTree& rtree() const { return rtree_; }
-  NetworkDistance& netdist() const { return netdist_; }
+  const NetworkDistance& netdist() const { return netdist_; }
 
   const std::vector<TrajectorySample>& train() const { return train_; }
   const std::vector<TrajectorySample>& val() const { return val_; }
@@ -89,7 +89,7 @@ class Dataset {
   RoadNetwork roadnet_;
   GridMapping grid_;
   RTree rtree_;
-  mutable NetworkDistance netdist_;
+  NetworkDistance netdist_;
   std::vector<TrajectorySample> train_;
   std::vector<TrajectorySample> val_;
   std::vector<TrajectorySample> test_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/roadnet/grid.h"
 #include "src/roadnet/road_network.h"
@@ -381,10 +384,63 @@ TEST(NetworkDistanceTest, RepeatedBoundedMissesPromoteToCachedRow) {
   nd.PointToPoint(0, 0.1, 2, 0.5);
   EXPECT_EQ(nd.cached_rows(), 1);
   EXPECT_EQ(nd.bounded_searches(), 3);
-  // ...and later queries from it are plain row-cache hits.
-  const int64_t hits_before = nd.row_hits();
+  // ...and later queries from it are plain row-cache hits: no new row miss
+  // and no new bounded search.
+  const int64_t misses_before = nd.row_misses();
   EXPECT_DOUBLE_EQ(nd.PointToPoint(0, 0.0, 3, 0.0), 300.0);
-  EXPECT_GT(nd.row_hits(), hits_before);
+  EXPECT_EQ(nd.row_misses(), misses_before);
+  EXPECT_EQ(nd.bounded_searches(), 3);
+}
+
+TEST(NetworkDistanceTest, ConcurrentReadersMatchSerialReference) {
+  // Four threads share one table capped below the segment count: rows are
+  // published while other threads read them, and once the cap is full the
+  // remaining sources take target-pruned searches. Every answer must equal
+  // the serial, uncapped one.
+  RoadNetwork rn = LatticeNetwork(5);
+  const int n = rn.num_segments();
+  const int cap = n / 4;
+  NetworkDistance reference(&rn);
+  std::vector<double> want_ss(n * n), want_pp(n * n);
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      want_ss[a * n + b] = reference.StartToStart(a, b);
+      want_pp[a * n + b] = reference.PointToPoint(a, 0.75, b, 0.25);
+    }
+  }
+
+  constexpr int kThreads = 4;
+  NetworkDistance shared(&rn, cap);
+  std::vector<std::vector<double>> got_ss(kThreads, std::vector<double>(n * n));
+  std::vector<std::vector<double>> got_pp(kThreads, std::vector<double>(n * n));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts a quarter of the pairs further on, and half of
+      // them ask the point query first so it meets uncached sources.
+      for (int k = 0; k < n * n; ++k) {
+        const int idx = (k + t * n * n / kThreads) % (n * n);
+        const int a = idx / n, b = idx % n;
+        if (t % 2 == 0) {
+          got_ss[t][idx] = shared.StartToStart(a, b);
+          got_pp[t][idx] = shared.PointToPoint(a, 0.75, b, 0.25);
+        } else {
+          got_pp[t][idx] = shared.PointToPoint(a, 0.75, b, 0.25);
+          got_ss[t][idx] = shared.StartToStart(a, b);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int idx = 0; idx < n * n; ++idx) {
+      EXPECT_EQ(got_ss[t][idx], want_ss[idx])
+          << "thread " << t << ": " << idx / n << "->" << idx % n;
+      EXPECT_EQ(got_pp[t][idx], want_pp[idx])
+          << "thread " << t << ": " << idx / n << "->" << idx % n;
+    }
+  }
+  EXPECT_LE(shared.cached_rows(), cap);
 }
 
 TEST(SubGraphTest, LocalIndexOf) {

@@ -333,9 +333,9 @@ TEST_F(ServeFixture, PrefetchWarmsTheCache) {
   EXPECT_GT(after.hits, before.hits);
 }
 
-// ----- NetworkDistance LRU ---------------------------------------------------
+// ----- NetworkDistance admission cap ----------------------------------------
 
-TEST_F(ServeFixture, DijkstraRowCacheEvictsUnderCap) {
+TEST_F(ServeFixture, DijkstraRowCacheStaysUnderCap) {
   NetworkDistance nd(&dataset_->roadnet(), /*max_cached_rows=*/2);
   NetworkDistance reference(&dataset_->roadnet());
   const int n = dataset_->roadnet().num_segments();
@@ -347,8 +347,29 @@ TEST_F(ServeFixture, DijkstraRowCacheEvictsUnderCap) {
   }
   EXPECT_LE(nd.cached_rows(), 2);
   EXPECT_GE(nd.row_misses(), 4);
-  // Re-query an evicted source: still correct after recompute.
+  // A source admitted first keeps its row once the cap is full: the
+  // re-query is still correct and takes no new miss.
+  const int64_t misses_before = nd.row_misses();
   EXPECT_EQ(nd.StartToStart(0, n - 1), reference.StartToStart(0, n - 1));
+  EXPECT_EQ(nd.row_misses(), misses_before);
+}
+
+TEST_F(ServeFixture, ServiceLeavesDatasetDistanceCacheAlone) {
+  // The ladder's fallback builds its own capped table; serving must not
+  // shrink the dataset's shared one, which offline sweeps keep warm.
+  const NetworkDistance& shared = dataset_->netdist();
+  const int n = dataset_->roadnet().num_segments();
+  for (int src = 0; src < n; ++src) shared.StartToStart(src, 0);
+  ASSERT_EQ(shared.cached_rows(), n);
+
+  SeedGlobalRng(52);
+  RnTrajRec model(SmallConfig(), *ctx_);
+  serve::RecoveryServiceConfig scfg;
+  scfg.policy.enabled = true;
+  scfg.max_dijkstra_rows = 2;
+  scfg.warm_model = false;
+  { serve::RecoveryService service(&model, *ctx_, scfg); }
+  EXPECT_EQ(shared.cached_rows(), n);
 }
 
 // ----- RecoveryService -------------------------------------------------------
