@@ -397,6 +397,54 @@ void BM_RTreeRadiusQueryCached(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeRadiusQueryCached);
 
+/// Threads over one warmed, shared CellCandidateCache: radius queries at
+/// the model's three radii (sub-graph delta, mask and prior radii) over
+/// random Shanghai-L points, the serving sessions' lookup path. Arg =
+/// threads; items = queries on the timed thread.
+void BM_CellCacheShared(benchmark::State& state) {
+  struct World {
+    DatasetConfig cfg = ShanghaiLConfig(BenchScale::kFull);
+    RoadNetwork rn = GenerateCity(cfg.city);
+    RTree rtree = BuildSegmentRTree(rn);
+    GridMapping grid{rn.bounds(), cfg.grid_cell_size};
+    std::vector<Vec2> points;
+    World() {
+      Rng rng(9);
+      const BBox& b = rn.bounds();
+      points.resize(4096);
+      for (auto& p : points) {
+        p = {rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
+      }
+    }
+  };
+  static const World w;
+  const RnTrajRecConfig m = DefaultRnTrajRecConfig(24);
+  const std::vector<double> radii{m.delta, m.decoder.mask_radius,
+                                  m.decoder.spatial_prior_radius};
+  serve::CellCandidateCache cache(&w.rn, &w.rtree, &w.grid, radii);
+  for (double r : radii) {
+    for (const Vec2& p : w.points) cache.WithinRadius(p, r);
+  }
+  auto query = [&](size_t i) {
+    return cache.WithinRadius(w.points[i % w.points.size()], radii[i % 3]);
+  };
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> helpers;
+  for (int t = 1; t < state.range(0); ++t) {
+    helpers.emplace_back([&, t] {
+      for (size_t i = 997 * t; !stop.load(std::memory_order_relaxed); ++i) {
+        benchmark::DoNotOptimize(query(i));
+      }
+    });
+  }
+  size_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(query(i++));
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& h : helpers) h.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CellCacheShared)->Arg(1)->Arg(3)->UseRealTime();
+
 void BM_SubGraphExtraction(benchmark::State& state) {
   auto& w = TheWorld();
   Rng rng(6);

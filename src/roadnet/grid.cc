@@ -5,6 +5,19 @@
 
 namespace rntraj {
 
+namespace {
+
+/// floor(v) clamped to [0, n - 1]. The clamp runs in floating point: casting
+/// a far-off (or NaN) coordinate to int first is undefined behaviour. NaN
+/// maps to 0.
+int ClampedFloor(double v, int n) {
+  const double f = std::floor(v);
+  if (!(f > 0.0)) return 0;
+  return f < n - 1 ? static_cast<int>(f) : n - 1;
+}
+
+}  // namespace
+
 GridMapping::GridMapping(const BBox& bounds, double cell_size)
     : bounds_(bounds.Buffered(cell_size * 0.5)), cell_size_(cell_size) {
   RNTRAJ_CHECK_MSG(cell_size > 0.0, "cell_size must be positive");
@@ -13,11 +26,8 @@ GridMapping::GridMapping(const BBox& bounds, double cell_size)
 }
 
 GridMapping::Cell GridMapping::CellOf(const Vec2& p) const {
-  int gx = static_cast<int>(std::floor((p.x - bounds_.min_x) / cell_size_));
-  int gy = static_cast<int>(std::floor((p.y - bounds_.min_y) / cell_size_));
-  gx = std::clamp(gx, 0, cols_ - 1);
-  gy = std::clamp(gy, 0, rows_ - 1);
-  return {gx, gy};
+  return {ClampedFloor((p.x - bounds_.min_x) / cell_size_, cols_),
+          ClampedFloor((p.y - bounds_.min_y) / cell_size_, rows_)};
 }
 
 Vec2 GridMapping::CellCenter(const Cell& c) const {

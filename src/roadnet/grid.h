@@ -31,7 +31,8 @@ class GridMapping {
   int num_cells() const { return rows_ * cols_; }
   double cell_size() const { return cell_size_; }
 
-  /// Cell containing `p`, clamped to the grid extent.
+  /// Cell containing `p`, clamped to the grid extent; a NaN coordinate maps
+  /// to index 0 on its axis.
   Cell CellOf(const Vec2& p) const;
 
   /// Flattened index of a cell (row-major).

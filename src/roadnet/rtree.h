@@ -87,9 +87,10 @@ std::vector<std::vector<NearbySegment>> BatchSegmentsWithinRadius(
 
 /// Source of radius queries against one road network. Models without one
 /// installed answer straight from the R-tree; the serving subsystem
-/// installs a grid-cell-keyed LRU cache (src/serve/roadnet_cache.h) whose
-/// results are exact — models call through this interface so online sessions
-/// can share hot roadnet work across requests without changing outputs.
+/// installs a grid-cell-keyed candidate cache (src/serve/roadnet_cache.h)
+/// whose results are exact — models call through this interface so online
+/// sessions can share hot roadnet work across requests without changing
+/// outputs.
 class SegmentQuerySource {
  public:
   virtual ~SegmentQuerySource() = default;

@@ -6,39 +6,49 @@
 
 namespace rntraj {
 
+namespace {
+
+/// The one Dijkstra over the segment graph: leaving segment u costs its full
+/// length, so `dist` ends up holding StartToStart(from, ·). With `stop_at`
+/// >= 0 the heap stops as soon as that segment is popped: its first pop
+/// carries its final distance, so point queries explore only the ball that
+/// reaches the target. With `parent` non-null every improved segment records
+/// its predecessor. Returns whether `stop_at` was settled.
+bool RunDijkstra(const RoadNetwork& rn, int from, int stop_at,
+                 std::vector<double>* dist,
+                 std::vector<int>* parent = nullptr) {
+  const int n = rn.num_segments();
+  dist->assign(n, NetworkDistance::kUnreachable);
+  if (parent != nullptr) parent->assign(n, -1);
+  using Item = std::pair<double, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
+  (*dist)[from] = 0.0;
+  pq.push({0.0, from});
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (u == stop_at) return true;
+    if (d > (*dist)[u]) continue;
+    const double leave_cost = rn.segment(u).length();
+    for (int v : rn.OutEdges(u)) {
+      const double nd = d + leave_cost;
+      if (nd < (*dist)[v]) {
+        (*dist)[v] = nd;
+        if (parent != nullptr) (*parent)[v] = u;
+        pq.push({nd, v});
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 NetworkDistance::NetworkDistance(const RoadNetwork* rn, int max_cached_rows)
     : rn_(rn),
       max_rows_(max_cached_rows),
       rows_(rn->num_segments()),
       bounded_misses_(rn->num_segments()) {}
-
-NetworkDistance::~NetworkDistance() {
-  for (auto& slot : rows_) delete slot.load(std::memory_order_relaxed);
-}
-
-std::unique_ptr<NetworkDistance::DistRow> NetworkDistance::ComputeRow(
-    int src) const {
-  const int n = rn_->num_segments();
-  auto dist = std::make_unique<DistRow>(n, kUnreachable);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-  (*dist)[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > (*dist)[u]) continue;
-    const double leave_cost = rn_->segment(u).length();
-    for (int v : rn_->OutEdges(u)) {
-      const double nd = d + leave_cost;
-      if (nd < (*dist)[v]) {
-        (*dist)[v] = nd;
-        pq.push({nd, v});
-      }
-    }
-  }
-  return dist;
-}
 
 bool NetworkDistance::ReserveRow() const {
   int taken = reserved_.load(std::memory_order_relaxed);
@@ -51,29 +61,22 @@ bool NetworkDistance::ReserveRow() const {
 
 const NetworkDistance::DistRow* NetworkDistance::PublishRow(
     int src, std::unique_ptr<DistRow> row) const {
-  const DistRow* winner = nullptr;
-  if (rows_[src].compare_exchange_strong(winner, row.get(),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    return row.release();  // owned by the slot until the destructor
-  }
-  // Another thread published this source first: hand back our slot of the
-  // cap; our duplicate row is freed on return.
-  reserved_.fetch_sub(1, std::memory_order_relaxed);
-  return winner;
+  const auto [resident, won] = rows_.Publish(src, std::move(row));
+  if (!won) reserved_.fetch_sub(1, std::memory_order_relaxed);
+  return resident;
 }
 
 const NetworkDistance::DistRow* NetworkDistance::Row(int src) const {
-  if (const DistRow* row = rows_[src].load(std::memory_order_acquire)) {
-    return row;
-  }
+  if (const DistRow* row = rows_.Get(src)) return row;
   misses_.fetch_add(1, std::memory_order_relaxed);
   // The cap is reserved before the Dijkstra, so a full table never builds a
   // row it cannot keep. The Dijkstra runs outside any lock: concurrent
   // misses on distinct sources run in parallel (duplicated work on the same
   // source is possible but harmless; PublishRow keeps one).
   if (!ReserveRow()) return nullptr;
-  return PublishRow(src, ComputeRow(src));
+  auto row = std::make_unique<DistRow>();
+  RunDijkstra(*rn_, src, /*stop_at=*/-1, row.get());
+  return PublishRow(src, std::move(row));
 }
 
 double NetworkDistance::StartToStart(int from, int to) const {
@@ -82,30 +85,8 @@ double NetworkDistance::StartToStart(int from, int to) const {
 }
 
 double NetworkDistance::TargetedSearch(int from, int to) const {
-  // Same cost model as ComputeRow, but the heap stops as soon as the target
-  // is settled: the first pop of `to` carries its final distance, so point
-  // queries explore only the ball around the source that reaches the target
-  // instead of the whole graph.
-  const int n = rn_->num_segments();
-  auto dist = std::make_unique<DistRow>(n, kUnreachable);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-  (*dist)[from] = 0.0;
-  pq.push({0.0, from});
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (u == to) return d;  // settled: d is final
-    if (d > (*dist)[u]) continue;
-    const double leave_cost = rn_->segment(u).length();
-    for (int v : rn_->OutEdges(u)) {
-      const double nd = d + leave_cost;
-      if (nd < (*dist)[v]) {
-        (*dist)[v] = nd;
-        pq.push({nd, v});
-      }
-    }
-  }
+  auto dist = std::make_unique<DistRow>();
+  if (RunDijkstra(*rn_, from, to, dist.get())) return (*dist)[to];
   // Frontier exhausted without settling `to` (unreachable target): the run
   // did a full Dijkstra's work, so `dist` IS the complete source row —
   // cache it instead of discarding it, exactly as Row() would have, when
@@ -115,9 +96,7 @@ double NetworkDistance::TargetedSearch(int from, int to) const {
 }
 
 double NetworkDistance::BoundedStartToStart(int from, int to) const {
-  if (const DistRow* row = rows_[from].load(std::memory_order_acquire)) {
-    return (*row)[to];
-  }
+  if (const DistRow* row = rows_.Get(from)) return (*row)[to];
   // Miss: count it; frequent sources graduate to a full cached row so
   // many-targets-per-source workloads (HMM transitions, metric sweeps) keep
   // their amortised one-Dijkstra-per-source cost. A full cap leaves nothing
@@ -160,28 +139,9 @@ double NetworkDistance::PointToPoint(int seg_a, double ratio_a, int seg_b,
 }
 
 std::vector<int> ShortestSegmentPath(const RoadNetwork& rn, int from, int to) {
-  const int n = rn.num_segments();
-  std::vector<double> dist(n, NetworkDistance::kUnreachable);
-  std::vector<int> parent(n, -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-  dist[from] = 0.0;
-  pq.push({0.0, from});
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (u == to) break;
-    if (d > dist[u]) continue;
-    const double leave_cost = rn.segment(u).length();
-    for (int v : rn.OutEdges(u)) {
-      const double nd = d + leave_cost;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent[v] = u;
-        pq.push({nd, v});
-      }
-    }
-  }
+  std::vector<double> dist;
+  std::vector<int> parent;
+  RunDijkstra(rn, from, to, &dist, &parent);
   if (from != to && dist[to] == NetworkDistance::kUnreachable) return {};
   std::vector<int> path;
   for (int cur = to; cur != -1; cur = parent[cur]) {

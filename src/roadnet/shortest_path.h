@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/write_once_slots.h"
 #include "src/roadnet/road_network.h"
 
 /// \file shortest_path.h
@@ -26,13 +27,12 @@ namespace rntraj {
 
 /// Lazy all-pairs network distances with per-source Dijkstra row caching.
 ///
-/// Thread-safe and write-once: the table holds one atomic row slot per
-/// source segment, sized at construction. A row is computed outside any lock
-/// and published by one compare-and-swap (a racer that loses deletes its copy
-/// and uses the winner's row); it is freed only by the destructor. A hit is
-/// therefore one acquire load: no lock, no reference count and no shared
-/// write, so concurrent readers (serving sessions, the data-parallel trainer)
-/// never contend on lookups.
+/// Thread-safe and write-once: the table holds one WriteOnceSlots row slot
+/// per source segment, sized at construction. A row is computed outside any
+/// lock and published by one compare-and-swap (a racer that loses frees its
+/// copy and uses the winner's row). A hit is therefore one acquire load, so
+/// concurrent readers (serving sessions, the data-parallel trainer) never
+/// contend on lookups.
 ///
 /// `max_cached_rows` > 0 is an admission cap, not an eviction policy: a row
 /// takes a slot from an atomic count before it is computed, and once the
@@ -45,7 +45,6 @@ namespace rntraj {
 class NetworkDistance {
  public:
   explicit NetworkDistance(const RoadNetwork* rn, int max_cached_rows = 0);
-  ~NetworkDistance();
 
   NetworkDistance(const NetworkDistance&) = delete;
   NetworkDistance& operator=(const NetworkDistance&) = delete;
@@ -104,18 +103,17 @@ class NetworkDistance {
   /// The cached row of `src`, computing and publishing it on a miss; null
   /// when the row is uncached and the cap is full.
   const DistRow* Row(int src) const;
-  std::unique_ptr<DistRow> ComputeRow(int src) const;
   /// Takes one slot of the admission cap; false when it is full.
   bool ReserveRow() const;
   /// Publishes a row computed under a reserved slot; returns the row that
   /// holds the slot (ours, or the winner's when another thread got there
-  /// first).
+  /// first, in which case our reservation is given back).
   const DistRow* PublishRow(int src, std::unique_ptr<DistRow> row) const;
 
   const RoadNetwork* rn_;
   const int max_rows_;
-  /// One write-once slot per source: null until its row is published.
-  mutable std::vector<std::atomic<const DistRow*>> rows_;
+  /// One slot per source: null until its row is published.
+  mutable WriteOnceSlots<DistRow> rows_;
   /// Bounded misses per source, counted towards promotion.
   mutable std::vector<std::atomic<uint8_t>> bounded_misses_;
   mutable std::atomic<int> reserved_{0};

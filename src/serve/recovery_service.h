@@ -63,7 +63,7 @@ struct RecoveryServiceConfig {
 
   /// Radii the cell candidate cache serves — a model's sub-graph delta and
   /// the decoder's mask/prior radii. Empty disables the cache; otherwise it
-  /// is built with the default RoadnetCacheConfig.
+  /// holds one write-once slot per (grid cell, radius).
   std::vector<double> cache_radii;
   /// Radii prefetched over each micro-batch's input points (subset of
   /// cache_radii; typically just the sub-graph delta).

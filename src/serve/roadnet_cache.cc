@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <memory>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -22,17 +22,14 @@ constexpr double kCellSlack = 1e-6;
 CellCandidateCache::CellCandidateCache(const RoadNetwork* rn,
                                        const RTree* rtree,
                                        const GridMapping* grid,
-                                       std::vector<double> radii,
-                                       const RoadnetCacheConfig& config)
+                                       std::vector<double> radii)
     : rn_(rn),
       rtree_(rtree),
       grid_(grid),
       radii_(std::move(radii)),
       half_diag_(grid->cell_size() * std::sqrt(0.5)),
-      shards_(std::max(1, config.shards)) {
+      table_(static_cast<size_t>(grid->num_cells()) * radii_.size()) {
   RNTRAJ_CHECK(!radii_.empty());
-  per_shard_capacity_ =
-      std::max(1, config.capacity / static_cast<int>(shards_.size()));
 }
 
 int CellCandidateCache::RadiusSlot(double radius) const {
@@ -42,83 +39,63 @@ int CellCandidateCache::RadiusSlot(double radius) const {
   return -1;
 }
 
-std::vector<CellCandidateCache::CandidateBox>
-CellCandidateCache::ComputeCandidates(int cell, int slot) const {
+int CellCandidateCache::CellContaining(const Vec2& p) const {
+  const GridMapping::Cell c = grid_->CellOf(p);
+  // Written so that a NaN distance fails the test.
+  if (!(Distance(p, grid_->CellCenter(c)) <= half_diag_ + kCellSlack)) {
+    return -1;
+  }
+  return grid_->CellIndex(c);
+}
+
+const CellCandidateCache::Candidates& CellCandidateCache::Fill(
+    int cell, int slot) const {
   // Any segment within radius r of *any* point p in the cell satisfies
   // dist(centre, seg) <= r + |p - centre| <= r + half_diag, and a segment
   // within d of a point has its bounding box intersecting the d-buffered
   // point box — so this query returns a superset of every exact radius-r
-  // result issued from inside the cell.
+  // result issued from inside the cell. The R-tree traversal runs outside
+  // any lock; a racer on the same key computes the same candidates, and
+  // the publish keeps one copy.
   const GridMapping::Cell c{cell % grid_->cols(), cell / grid_->cols()};
   const BBox query = BBox::FromPoint(grid_->CellCenter(c))
                          .Buffered(radii_[slot] + half_diag_);
-  std::vector<CandidateBox> out;
+  auto value = std::make_unique<Candidates>();
   for (int id : rtree_->Query(query)) {
-    out.push_back({id, rn_->segment(id).geometry.bounds()});
+    value->push_back({id, rn_->segment(id).geometry.bounds()});
   }
-  return out;
-}
-
-void CellCandidateCache::InsertLocked(Shard& shard, int64_t key,
-                                      Candidates value) const {
-  auto [it, inserted] = shard.entries.try_emplace(key);
-  if (!inserted) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.second);
-    return;  // raced with another session; keep the resident list
-  }
-  shard.lru.push_front(key);
-  it->second = {std::move(value), shard.lru.begin()};
-  while (static_cast<int>(shard.entries.size()) > per_shard_capacity_) {
-    shard.entries.erase(shard.lru.back());
-    shard.lru.pop_back();
-  }
-}
-
-CellCandidateCache::Candidates CellCandidateCache::GetCandidates(
-    int cell, int slot) const {
-  const int64_t key = KeyOf(cell, slot);
-  Shard& shard = ShardOf(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.first;
-    }
-  }
-  // R-tree traversal outside the shard lock.
-  auto value = std::make_shared<const std::vector<CandidateBox>>(
-      ComputeCandidates(cell, slot));
   misses_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  InsertLocked(shard, key, value);
-  return value;
+  const auto [resident, won] =
+      table_.Publish(KeyOf(cell, slot), std::move(value));
+  if (won) entries_.fetch_add(1, std::memory_order_relaxed);
+  return *resident;
 }
 
 std::vector<NearbySegment> CellCandidateCache::WithinRadius(
     const Vec2& p, double radius) const {
   const int slot = RadiusSlot(radius);
-  if (slot >= 0) {
-    const GridMapping::Cell c = grid_->CellOf(p);
-    const Vec2 center = grid_->CellCenter(c);
-    if (Distance(p, center) <= half_diag_ + kCellSlack) {
-      const Candidates cands = GetCandidates(grid_->CellIndex(c), slot);
-      // Same bbox prefilter as the R-tree leaf pass: project exactly the
-      // segments the direct path would project.
-      const BBox qbox = BBox::FromPoint(p).Buffered(radius);
-      std::vector<NearbySegment> out;
-      for (const CandidateBox& cand : *cands) {
-        if (!cand.box.Intersects(qbox)) continue;
-        PointProjection proj = rn_->Project(p, cand.seg_id);
-        if (proj.distance <= radius) out.push_back({cand.seg_id, proj});
-      }
-      if (!out.empty()) {
-        SortNearbySegments(&out);
-        return out;
-      }
-      // Fall through: the direct path's radius expansion must kick in.
+  const int cell = slot >= 0 ? CellContaining(p) : -1;
+  if (cell >= 0) {
+    const Candidates* cached = table_.Get(KeyOf(cell, slot));
+    if (cached != nullptr) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      cached = &Fill(cell, slot);
     }
+    // Same bbox prefilter as the R-tree leaf pass: project exactly the
+    // segments the direct path would project.
+    const BBox qbox = BBox::FromPoint(p).Buffered(radius);
+    std::vector<NearbySegment> out;
+    for (const CandidateBox& cand : *cached) {
+      if (!cand.box.Intersects(qbox)) continue;
+      PointProjection proj = rn_->Project(p, cand.seg_id);
+      if (proj.distance <= radius) out.push_back({cand.seg_id, proj});
+    }
+    if (!out.empty()) {
+      SortNearbySegments(&out);
+      return out;
+    }
+    // Fall through: the direct path's radius expansion must kick in.
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
   return SegmentsWithinRadius(*rn_, *rtree_, p, radius);
@@ -128,38 +105,22 @@ void CellCandidateCache::Prefetch(const std::vector<Vec2>& points,
                                   double radius) const {
   const int slot = RadiusSlot(radius);
   if (slot < 0) return;
-  // Distinct resident-miss cells covering the batch.
-  std::unordered_set<int> seen;
+  // Distinct unfilled cells covering the batch.
   std::vector<int> missing;
   for (const Vec2& p : points) {
-    const GridMapping::Cell c = grid_->CellOf(p);
-    if (Distance(p, grid_->CellCenter(c)) > half_diag_ + kCellSlack) continue;
-    const int cell = grid_->CellIndex(c);
-    if (!seen.insert(cell).second) continue;
-    const int64_t key = KeyOf(cell, slot);
-    Shard& shard = ShardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.find(key) == shard.entries.end()) missing.push_back(cell);
+    const int cell = CellContaining(p);
+    if (cell >= 0 && table_.Get(KeyOf(cell, slot)) == nullptr) {
+      missing.push_back(cell);
+    }
   }
-  if (missing.empty()) return;
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
 
   // One R-tree sweep for the whole batch, chunked across the pool.
-  std::vector<Candidates> computed(missing.size());
   ParallelFor(0, static_cast<int64_t>(missing.size()), /*grain=*/4,
               [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  computed[i] =
-                      std::make_shared<const std::vector<CandidateBox>>(
-                          ComputeCandidates(missing[i], slot));
-                }
+                for (int64_t i = begin; i < end; ++i) Fill(missing[i], slot);
               });
-  for (size_t i = 0; i < missing.size(); ++i) {
-    const int64_t key = KeyOf(missing[i], slot);
-    Shard& shard = ShardOf(key);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    InsertLocked(shard, key, std::move(computed[i]));
-  }
 }
 
 RoadnetCacheStats CellCandidateCache::stats() const {
@@ -167,10 +128,7 @@ RoadnetCacheStats CellCandidateCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    s.entries += static_cast<int64_t>(shard.entries.size());
-  }
+  s.entries = entries_.load(std::memory_order_relaxed);
   return s;
 }
 

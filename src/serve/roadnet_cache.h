@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/write_once_slots.h"
 #include "src/roadnet/grid.h"
 #include "src/roadnet/road_network.h"
 #include "src/roadnet/rtree.h"
@@ -18,24 +15,19 @@
 /// (sub-graph generation at delta, decoder constraint masks at mask_radius /
 /// spatial_prior_radius) dominate per-request roadnet time; their R-tree
 /// traversals repeat heavily across requests because real traffic has
-/// spatial locality. The cache keys *candidate segment lists* by grid cell:
+/// spatial locality. The cache keys *candidate segment sets* by grid cell:
 /// for a cell c and radius r it stores every segment whose bounding box
 /// intersects the (r + half-cell-diagonal)-buffered cell centre — a provable
 /// superset of any exact radius-r query issued from inside c. Per query only
 /// the exact projection + filter runs, so cached answers are bit-identical
 /// to SegmentsWithinRadius: caching never changes model outputs.
+///
+/// The key space (grid cells × served radii) is fixed at construction, so
+/// the cache is a write-once table with one slot per key: nothing is ever
+/// evicted, and a hit is one acquire load.
 
 namespace rntraj {
 namespace serve {
-
-/// Cache shape knobs.
-struct RoadnetCacheConfig {
-  /// Total cached (cell, radius) candidate lists across all shards;
-  /// least-recently-used entries are evicted beyond it.
-  int capacity = 8192;
-  /// Lock striping for concurrent sessions.
-  int shards = 8;
-};
 
 /// Telemetry counters (monotonic).
 struct RoadnetCacheStats {
@@ -44,19 +36,19 @@ struct RoadnetCacheStats {
   /// Queries answered by the direct path: unknown radius, point outside the
   /// grid, or an empty filtered result (radius-expansion semantics).
   int64_t fallbacks = 0;
-  int64_t entries = 0;  ///< Current resident candidate lists.
+  int64_t entries = 0;  ///< Resident candidate sets (winning publishes).
 };
 
-/// Grid-cell-keyed LRU of radius-query candidates, exact by construction.
-/// Thread-safe; one instance is shared by every serving session.
+/// Grid-cell-keyed write-once table of radius-query candidates, exact by
+/// construction. Thread-safe and lock-free; one instance is shared by every
+/// serving session.
 class CellCandidateCache : public SegmentQuerySource {
  public:
-  /// `radii` lists the radii the cache serves (a model's delta and the
+  /// `radii` holds the radii the cache serves (a model's delta and the
   /// decoder's mask/prior radii); queries at any other radius fall through
   /// to the direct R-tree path.
   CellCandidateCache(const RoadNetwork* rn, const RTree* rtree,
-                     const GridMapping* grid, std::vector<double> radii,
-                     const RoadnetCacheConfig& config = {});
+                     const GridMapping* grid, std::vector<double> radii);
 
   /// Exact SegmentsWithinRadius semantics (sorted, never empty).
   std::vector<NearbySegment> WithinRadius(const Vec2& p,
@@ -79,49 +71,36 @@ class CellCandidateCache : public SegmentQuerySource {
     int seg_id;
     BBox box;
   };
-  using Candidates = std::shared_ptr<const std::vector<CandidateBox>>;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<int64_t, std::pair<Candidates, std::list<int64_t>::iterator>>
-        entries;
-    std::list<int64_t> lru;  ///< Front = most recently used.
-  };
+  using Candidates = std::vector<CandidateBox>;
 
   /// Index into radii_ for an exact radius match, -1 otherwise.
   int RadiusSlot(double radius) const;
 
-  /// Cache key for (cell, radius slot); cells are dense grid indices.
-  int64_t KeyOf(int cell, int slot) const {
-    return static_cast<int64_t>(cell) *
-               static_cast<int64_t>(radii_.size()) +
-           slot;
+  /// Flattened index of the cell whose centre lies within half a diagonal
+  /// of `p`, -1 when none does: a point outside the grid (clamped to a far
+  /// border cell) or with a NaN coordinate.
+  int CellContaining(const Vec2& p) const;
+
+  /// Table slot of (cell, radius slot); cells are dense grid indices.
+  size_t KeyOf(int cell, int slot) const {
+    return static_cast<size_t>(cell) * radii_.size() + slot;
   }
 
-  Shard& ShardOf(int64_t key) const {
-    return shards_[static_cast<size_t>(key) % shards_.size()];
-  }
-
-  /// Returns the candidate list for (cell, slot), computing and inserting it
-  /// on miss. Counts one hit or miss per call (Prefetch accounts for its own
-  /// inserts, so prefetched entries surface as hits here).
-  Candidates GetCandidates(int cell, int slot) const;
-
-  /// Computes the conservative candidate list for a cell centre.
-  std::vector<CandidateBox> ComputeCandidates(int cell, int slot) const;
-
-  void InsertLocked(Shard& shard, int64_t key, Candidates value) const;
+  /// Computes the conservative candidates for (cell, slot) and publishes
+  /// them; returns the resident ones (ours, or a racing winner's). Counts one
+  /// miss, and one entry when ours win.
+  const Candidates& Fill(int cell, int slot) const;
 
   const RoadNetwork* rn_;
   const RTree* rtree_;
   const GridMapping* grid_;
   std::vector<double> radii_;
   double half_diag_;  ///< Half the cell diagonal: the snap-safety margin.
-  int per_shard_capacity_;
-  mutable std::vector<Shard> shards_;
+  mutable WriteOnceSlots<Candidates> table_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   mutable std::atomic<int64_t> fallbacks_{0};
+  mutable std::atomic<int64_t> entries_{0};
 };
 
 }  // namespace serve

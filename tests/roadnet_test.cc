@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -81,6 +82,13 @@ TEST(GridMappingTest, CellIndexingCoversBounds) {
   // Points map within range and corners clamp.
   EXPECT_GE(grid.CellIndexOf({-1e6, -1e6}), 0);
   EXPECT_LT(grid.CellIndexOf({1e6, 1e6}), grid.num_cells());
+  // Far beyond int range, and NaN: clamped before the integer conversion.
+  EXPECT_EQ(grid.CellIndexOf({-1e12, -1e12}), 0);
+  EXPECT_EQ(grid.CellIndexOf({1e12, 1e12}), grid.num_cells() - 1);
+  EXPECT_EQ(grid.CellIndexOf({1e12, -1e12}), grid.cols() - 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(grid.CellIndexOf({nan, nan}), 0);
+  EXPECT_EQ(grid.CellIndexOf({nan, 1e12}), (grid.rows() - 1) * grid.cols());
 }
 
 TEST(GridMappingTest, DistinctCellsForDistantPoints) {

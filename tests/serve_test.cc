@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -303,20 +304,96 @@ TEST_F(ServeFixture, CellCacheUnknownRadiusFallsBack) {
   EXPECT_GE(cache.stats().fallbacks, 1);
 }
 
-TEST_F(ServeFixture, CellCacheEvictsAtCapacity) {
-  serve::RoadnetCacheConfig ccfg;
-  ccfg.capacity = 8;
-  ccfg.shards = 2;
+TEST_F(ServeFixture, CellCacheSecondSweepAddsNoMisses) {
+  // The key space (cells x radii) is fixed and nothing is evicted: a second
+  // sweep over the same points is served entirely from resident lists, and
+  // on one thread every miss publishes exactly one entry.
+  const std::vector<double> radii{250.0, 100.0};
   serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
-                                  &dataset_->grid(), {250.0}, ccfg);
+                                  &dataset_->grid(), radii);
   Rng rng(13);
   const BBox& b = dataset_->roadnet().bounds();
+  std::vector<Vec2> points;
   for (int trial = 0; trial < 100; ++trial) {
-    const Vec2 p{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
-    cache.WithinRadius(p, 250.0);
+    points.push_back(
+        {rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)});
   }
-  EXPECT_LE(cache.stats().entries, 8);
-  EXPECT_GT(cache.stats().misses, 8);  // churned well past capacity
+  auto sweep = [&] {
+    for (double r : radii) {
+      for (const Vec2& p : points) cache.WithinRadius(p, r);
+    }
+  };
+  sweep();
+  const auto first = cache.stats();
+  EXPECT_GT(first.misses, 8);
+  sweep();
+  const auto second = cache.stats();
+  EXPECT_EQ(second.misses, first.misses);
+  EXPECT_GT(second.hits, first.hits);
+  EXPECT_EQ(second.entries, second.misses);
+  EXPECT_LE(second.entries, static_cast<int64_t>(dataset_->grid().num_cells() *
+                                                 radii.size()));
+}
+
+TEST_F(ServeFixture, CellCacheConcurrentReadersMatchDirect) {
+  // Four threads race on one cache over overlapping points, mixing queries
+  // and prefetches at both radii: every answer is the direct R-tree answer,
+  // bit for bit.
+  const std::vector<double> radii{250.0, 100.0};
+  serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
+                                  &dataset_->grid(), radii);
+  Rng rng(17);
+  const BBox& b = dataset_->roadnet().bounds();
+  std::vector<Vec2> points;
+  for (int i = 0; i < 96; ++i) {
+    points.push_back(
+        {rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)});
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread covers two thirds of the points from its own offset,
+      // so every point is shared by several threads.
+      const size_t n = points.size();
+      std::vector<Vec2> mine;
+      for (size_t i = 0; i < 2 * n / 3; ++i) {
+        mine.push_back(points[(t * n / kThreads + i) % n]);
+      }
+      cache.Prefetch({mine.begin(), mine.begin() + mine.size() / 2},
+                     radii[t % 2]);
+      for (size_t i = 0; i < mine.size(); ++i) {
+        const double radius = radii[(t + i) % 2];
+        const auto cached = cache.WithinRadius(mine[i], radius);
+        const auto direct = SegmentsWithinRadius(
+            dataset_->roadnet(), dataset_->rtree(), mine[i], radius);
+        EXPECT_EQ(cached.size(), direct.size());
+        for (size_t k = 0; k < std::min(cached.size(), direct.size()); ++k) {
+          EXPECT_EQ(cached[k].seg_id, direct[k].seg_id);
+          EXPECT_EQ(cached[k].projection.distance,
+                    direct[k].projection.distance);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_LE(stats.entries, stats.misses);
+}
+
+TEST_F(ServeFixture, PrefetchSkipsPointsOutsideTheGrid) {
+  // Far-off and NaN points clamp to a border cell whose centre does not
+  // cover them: prefetch fills nothing and queries take the direct path.
+  serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
+                                  &dataset_->grid(), {250.0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  cache.Prefetch({{1e12, 1e12}, {-1e12, 0.0}, {nan, nan}}, 250.0);
+  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(cache.stats().misses, 0);
+  cache.WithinRadius({1e12, 1e12}, 250.0);
+  EXPECT_EQ(cache.stats().fallbacks, 1);
+  EXPECT_EQ(cache.stats().entries, 0);
 }
 
 TEST_F(ServeFixture, PrefetchWarmsTheCache) {
