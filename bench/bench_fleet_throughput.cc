@@ -137,7 +137,7 @@ bool Run() {
   SeedGlobalRng(12345);
   RnTrajRec model(profile.model, ctx);
   model.SetTrainingMode(false);
-  model.BeginInference();  // snapshot carries the warm road representation
+  model.BeginInference();
   if (!model.SaveSnapshot(snap_path, &error)) {
     std::fprintf(stderr, "snapshot: %s\n", error.c_str());
     return false;

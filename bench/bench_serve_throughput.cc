@@ -194,79 +194,49 @@ bool Run() {
   const double obs_on_rps = num_requests / obs_on.total_s;
   const double obs_overhead_frac = 1.0 - obs_on_rps / obs_off_rps;
 
-  // --- warm start (PR 9): starting a serving process from a snapshot vs
-  // recomputing the road representation. SaveSnapshot captures the state
-  // dict (one flattened-arena write) plus the warm road section; a loaded
-  // model's BeginInference skips the GridGNN forward entirely. The CI gate
-  // (ci/check_bench.py) requires load >= 5x faster than the cold warmup —
-  // both sides timed in THIS process, so the bound is runner-independent.
+  // --- snapshot round trip: a model loaded from a snapshot of `model`
+  // into a differently seeded instance must answer exactly like `model`
+  // (the format is bit-exact fp32 and BeginInference recomputes the road
+  // representation from the loaded weights). The file is reused below as
+  // the hot-swap payload.
   const std::string snap_path = [] {
     const char* tmp = std::getenv("TMPDIR");
     return std::string(tmp != nullptr ? tmp : "/tmp") +
-           "/bench_serve_warmstart.snapshot";
+           "/bench_serve_roundtrip.snapshot";
   }();
-  double snapshot_write_s = 0.0;
+  std::vector<MatchedTrajectory> snapshot_answers;
   {
-    const auto t0 = std::chrono::steady_clock::now();
     std::string err;
     if (!model.SaveSnapshot(snap_path, &err)) {
-      std::fprintf(stderr, "FAILED to write warm-start snapshot: %s\n",
-                   err.c_str());
+      std::fprintf(stderr, "FAILED to write snapshot: %s\n", err.c_str());
       return false;
     }
-    snapshot_write_s = Seconds(t0);
-  }
-  constexpr int kWarmRepeats = 3;
-  double warmstart_cold_s = 1e30;  // BeginInference recomputing the road rep
-  double warmstart_load_s = 1e30;  // LoadSnapshot + warm BeginInference
-  std::vector<MatchedTrajectory> warmstart_answers;
-  for (int rep = 0; rep < kWarmRepeats; ++rep) {
-    {
-      SeedGlobalRng(12345);
-      RnTrajRec cold_model(mcfg, ctx);
-      cold_model.SetTrainingMode(false);
-      const auto t0 = std::chrono::steady_clock::now();
-      cold_model.BeginInference();
-      warmstart_cold_s = std::min(warmstart_cold_s, Seconds(t0));
+    SeedGlobalRng(54321);  // different init: the snapshot must supply all
+    RnTrajRec loaded(mcfg, ctx);
+    if (!loaded.LoadSnapshot(snap_path, &err)) {
+      std::fprintf(stderr, "FAILED to load snapshot: %s\n", err.c_str());
+      return false;
     }
-    {
-      SeedGlobalRng(54321);  // different init: the snapshot must supply all
-      RnTrajRec loaded(mcfg, ctx);
-      loaded.SetTrainingMode(false);
-      const auto t0 = std::chrono::steady_clock::now();
-      std::string err;
-      if (!loaded.LoadSnapshot(snap_path, &err)) {
-        std::fprintf(stderr, "FAILED to load warm-start snapshot: %s\n",
-                     err.c_str());
-        return false;
-      }
-      loaded.BeginInference();  // road section present: recompute skipped
-      warmstart_load_s = std::min(warmstart_load_s, Seconds(t0));
-      if (rep == 0) {
-        // Snapshot fidelity: the loaded model must answer exactly like the
-        // original (identical weights, identical road representation).
-        BufferPoolScope scope;
-        for (size_t i = 0; i < std::min<size_t>(8, workload.size()); ++i) {
-          serve::RecoveryRequest req = workload[i].request;
-          TrajectorySample s =
-              MakeEphemeralSample(std::move(req.input),
-                                  std::move(req.input_indices),
-                                  req.target_times);
-          warmstart_answers.push_back(loaded.Recover(s));
-        }
-      }
+    loaded.SetTrainingMode(false);
+    loaded.BeginInference();
+    BufferPoolScope scope;
+    for (size_t i = 0; i < std::min<size_t>(8, workload.size()); ++i) {
+      serve::RecoveryRequest req = workload[i].request;
+      TrajectorySample s = MakeEphemeralSample(std::move(req.input),
+                                               std::move(req.input_indices),
+                                               req.target_times);
+      snapshot_answers.push_back(loaded.Recover(s));
     }
   }
-  int warmstart_seg_mismatches = 0;
-  for (size_t i = 0; i < warmstart_answers.size(); ++i) {
-    for (int j = 0; j < warmstart_answers[i].size(); ++j) {
-      if (warmstart_answers[i].points[j].seg_id !=
+  int snapshot_seg_mismatches = 0;
+  for (size_t i = 0; i < snapshot_answers.size(); ++i) {
+    for (int j = 0; j < snapshot_answers[i].size(); ++j) {
+      if (snapshot_answers[i].points[j].seg_id !=
           warm_results[i].points[j].seg_id) {
-        ++warmstart_seg_mismatches;
+        ++snapshot_seg_mismatches;
       }
     }
   }
-  const double warmstart_speedup = warmstart_cold_s / warmstart_load_s;
 
   // --- hot swap under load (PR 9): replay the workload through the batched
   // service and SwapModel mid-stream to a snapshot-loaded clone. The
@@ -304,8 +274,8 @@ bool Run() {
     for (size_t i = 0; i < half; ++i) {
       futures.push_back(service.Submit(workload[i].request));
     }
-    // The flip lands while the first half is in flight; warmup runs on this
-    // thread (and is itself a snapshot warm start — no road recompute).
+    // The flip lands while the first half is in flight; warmup (the new
+    // generation's road representation) runs on this thread.
     if (!service.SwapModel(next, &err)) {
       std::fprintf(stderr, "FAILED to swap model: %s\n", err.c_str());
       return false;
@@ -338,6 +308,7 @@ bool Run() {
     }
     swap_final_version = service.model_version();
   }
+  std::remove(snap_path.c_str());
   const bool swap_ok = swap_dropped == 0 && swap_failed == 0 &&
                        swap_seg_mismatches == 0 &&
                        swap_max_ratio_diff <= 1e-5 && swap_final_version == 1;
@@ -484,12 +455,8 @@ bool Run() {
   std::printf("observability overhead (tracing 1.0 + stage profiling): "
               "%.1f%% (%.1f -> %.1f req/s)\n",
               100.0 * obs_overhead_frac, obs_off_rps, obs_on_rps);
-  std::printf("warm start: snapshot write %.1f ms; cold BeginInference %.1f "
-              "ms vs LoadSnapshot+BeginInference %.1f ms -> %.1fx (loaded "
-              "answers: %d seg mismatches over %zu requests)\n",
-              1e3 * snapshot_write_s, 1e3 * warmstart_cold_s,
-              1e3 * warmstart_load_s, warmstart_speedup,
-              warmstart_seg_mismatches, warmstart_answers.size());
+  std::printf("snapshot round trip: %d seg mismatches over %zu requests\n",
+              snapshot_seg_mismatches, snapshot_answers.size());
   std::printf("hot swap under load: %s (dropped %lld, failed %d, seg "
               "mismatches %d, max ratio diff %.2e; answers v0/v1 = "
               "%lld/%lld, final version %llu)\n",
@@ -563,11 +530,8 @@ bool Run() {
          << "  \"obs_off_rps\": " << obs_off_rps << ",\n"
          << "  \"obs_on_rps\": " << obs_on_rps << ",\n"
          << "  \"obs_overhead_frac\": " << obs_overhead_frac << ",\n"
-         << "  \"warmstart_write_s\": " << snapshot_write_s << ",\n"
-         << "  \"warmstart_cold_begin_s\": " << warmstart_cold_s << ",\n"
-         << "  \"warmstart_load_s\": " << warmstart_load_s << ",\n"
-         << "  \"warmstart_speedup\": " << warmstart_speedup << ",\n"
-         << "  \"warmstart_seg_mismatches\": " << warmstart_seg_mismatches
+         // The committed baselines record this check under this key.
+         << "  \"warmstart_seg_mismatches\": " << snapshot_seg_mismatches
          << ",\n"
          << "  \"swap_dropped_futures\": " << swap_dropped << ",\n"
          << "  \"swap_failed_requests\": " << swap_failed << ",\n"
@@ -612,10 +576,10 @@ bool Run() {
     }
     std::printf("wrote JSON record to %s\n", json_path);
   }
-  // Exit code covers the warm-start and hot-swap invariants too:
+  // Exit code covers the snapshot and hot-swap invariants too:
   // snapshot-loaded models must answer identically, and a mid-stream swap
   // must drop nothing and never blend generations.
-  return match && warmstart_seg_mismatches == 0 && swap_ok;
+  return match && snapshot_seg_mismatches == 0 && swap_ok;
 }
 
 }  // namespace

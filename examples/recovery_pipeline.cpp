@@ -3,7 +3,7 @@
 // the same Porto-like dataset and reports all six Table III metrics. The
 // trained model is then persisted through the snapshot API (SaveSnapshot /
 // LoadSnapshot on RecoveryModel) and re-evaluated from a cold process-like
-// state, showing that a worker warm-starts from one file instead of
+// state, showing that a worker starts from one file of weights instead of
 // retraining.
 
 #include <cstdio>
@@ -58,10 +58,11 @@ int main() {
     trained_metrics = m;
   }
 
-  // Warm start: a fresh model (differently seeded, so its random init can't
+  // Restore: a fresh model (differently seeded, so its random init can't
   // mask a broken load) restored from the snapshot must reproduce the
-  // trained model's metrics exactly — no retraining, and for RnTrajRec no
-  // road-representation recompute (the snapshot carries it).
+  // trained model's metrics exactly without retraining. The snapshot holds
+  // weights only; for RnTrajRec, evaluation's BeginInference recomputes the
+  // road representation from them.
   SeedGlobalRng(99);
   auto restored = MakeModel("rntrajrec", ctx, /*dim=*/16);
   std::string err;

@@ -85,11 +85,10 @@ class RecoveryModel {
   }
 
   /// Writes this model's state to a versioned binary snapshot (atomic
-  /// tmp+rename). The default stores the state dict + a model-name meta
-  /// tag; models with expensive derived state (RnTrajRec's road
-  /// representation) override to add warm-start sections.
-  virtual bool SaveSnapshot(const std::string& path,
-                            std::string* error = nullptr) {
+  /// tmp+rename): the state dict + a model-name meta tag. Derived state
+  /// (RnTrajRec's road representation) is not stored; BeginInference
+  /// recomputes it from the loaded weights.
+  bool SaveSnapshot(const std::string& path, std::string* error = nullptr) {
     snapshot::Snapshot snap;
     snap.state = StateDict();
     snap.model_name = name();
@@ -101,8 +100,7 @@ class RecoveryModel {
   /// All failures (I/O, corruption, foreign version, wrong shapes) return
   /// false with a diagnostic in `*error` and leave the model untouched —
   /// never an abort.
-  virtual bool LoadSnapshot(const std::string& path,
-                            std::string* error = nullptr) {
+  bool LoadSnapshot(const std::string& path, std::string* error = nullptr) {
     snapshot::Snapshot snap;
     if (!snapshot::ReadSnapshot(path, &snap, error)) return false;
     return snapshot::ApplyStateDict(StateDict(), snap.state, error);

@@ -70,55 +70,13 @@ RnTrajRec::PointContexts RnTrajRec::BuildPointContexts(
 }
 
 void RnTrajRec::BeginBatch() {
-  road_warm_ = false;  // the step about to run invalidates any snapshot rep
   xroad_ = gridgnn_.Forward();
   decoder_.AdvanceSamplingEpoch();
 }
 
 void RnTrajRec::BeginInference() {
   NoGradGuard guard;
-  if (!road_warm_) {
-    // The expensive warmup a snapshot's road-rep section lets us skip: the
-    // full GridGNN forward over every segment of the road network.
-    xroad_ = gridgnn_.Forward();
-  }
-}
-
-bool RnTrajRec::SaveSnapshot(const std::string& path, std::string* error) {
-  snapshot::Snapshot snap;
-  snap.state = StateDict();
-  snap.model_name = name();
-  if (xroad_.defined()) {
-    // Persist the current road representation so a loader starts warm. Saved
-    // detached: the snapshot must not drag the autograd tape along.
-    snap.has_road_rep = true;
-    snap.road_rep = xroad_.Detach();
-  }
-  return snapshot::WriteSnapshot(path, snap, error);
-}
-
-bool RnTrajRec::LoadSnapshot(const std::string& path, std::string* error) {
-  snapshot::Snapshot snap;
-  if (!snapshot::ReadSnapshot(path, &snap, error)) return false;
-  if (snap.has_road_rep) {
-    const int want_rows = ctx_.rn->num_segments();
-    if (snap.road_rep.rank() != 2 || snap.road_rep.shape()[0] != want_rows ||
-        snap.road_rep.shape()[1] != cfg_.dim) {
-      if (error != nullptr) {
-        *error = "snapshot: road-rep section has wrong shape for this "
-                 "road network / model dim";
-      }
-      return false;
-    }
-  }
-  if (!snapshot::ApplyStateDict(StateDict(), snap.state, error)) return false;
-  if (snap.has_road_rep) {
-    xroad_ = snap.road_rep;
-    road_warm_ = true;
-  } else {
-    road_warm_ = false;
-  }
-  return true;
+  xroad_ = gridgnn_.Forward();
 }
 
 Tensor RnTrajRec::GraphClassificationLoss(const Encoded& e,

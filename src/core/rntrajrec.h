@@ -63,13 +63,6 @@ class RnTrajRec : public Module, public RecoveryModel {
   LoadReport LoadStateDict(const rntraj::StateDict& src) override {
     return Module::LoadStateDict(src);
   }
-  /// Snapshot overrides: SaveSnapshot adds the warm road representation
-  /// when one has been computed; LoadSnapshot restores it and arms the
-  /// warm-start skip so the next BeginInference costs no GridGNN forward.
-  bool SaveSnapshot(const std::string& path,
-                    std::string* error = nullptr) override;
-  bool LoadSnapshot(const std::string& path,
-                    std::string* error = nullptr) override;
   /// The step-keyed stream behind scheduled sampling: the decoder seeds its
   /// per-sample coin flips with (steps, uid), so checkpoint resume restores
   /// the counter to replay the exact flips of an uninterrupted run.
@@ -174,11 +167,6 @@ class RnTrajRec : public Module, public RecoveryModel {
   Decoder decoder_;
   Tensor gcl_w_;        ///< (d, 1), the Eq. (18) readout weight.
   Tensor xroad_;        ///< Batch-shared road representation.
-  /// True when xroad_ came from a snapshot's road-rep section and the
-  /// parameters have not changed since: BeginInference serves it as-is
-  /// instead of recomputing (the warm-start payoff). Any BeginBatch (a
-  /// training step invalidates the representation) clears it.
-  bool road_warm_ = false;
   UidMemoCache<PointContexts> cache_;
 };
 

@@ -161,8 +161,7 @@ bool RecoveryService::SwapModel(std::shared_ptr<RecoveryModel> next,
 
   // Warm the replacement on THIS thread while the old generation keeps
   // serving: shared roadnet caches installed, eval mode, BeginInference
-  // (for RnTrajRec the road-representation compute — skipped when the
-  // model was loaded from a snapshot carrying a warm road rep).
+  // (for RnTrajRec the road-representation compute from the new weights).
   if (cache_ != nullptr) next->SetSegmentQuerySource(cache_.get());
   next->SetTrainingMode(false);
   next->BeginInference();

@@ -45,14 +45,6 @@ std::string EncodeStateDict(const StateDict& sd) {
   return out;
 }
 
-std::string EncodeRoadRep(const Tensor& x) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(x.rank() >= 1 ? x.shape()[0] : 0));
-  PutU32(&out, static_cast<uint32_t>(x.rank() >= 2 ? x.shape()[1] : 1));
-  PutFloats(&out, x.data().data(), x.data().size());
-  return out;
-}
-
 std::string EncodeTrainerState(const TrainerState& ts) {
   std::string out;
   PutU64(&out, ts.epochs_done);
@@ -137,24 +129,6 @@ bool DecodeStateDict(ByteReader* c, StateDict* sd, std::string* error) {
   return true;
 }
 
-bool DecodeRoadRep(ByteReader* c, Tensor* out, std::string* error) {
-  uint32_t rows = 0;
-  uint32_t cols = 0;
-  if (!c->GetU32(&rows) || !c->GetU32(&cols)) {
-    return SetError(error, "truncated road-rep header");
-  }
-  if (rows == 0 || cols == 0 || rows > (1u << 28) || cols > (1u << 28)) {
-    return SetError(error, "implausible road-rep shape");
-  }
-  std::vector<float> data;
-  if (!c->GetFloats(&data, static_cast<size_t>(rows) * cols)) {
-    return SetError(error, "truncated road-rep data");
-  }
-  *out = Tensor::FromVector({static_cast<int>(rows), static_cast<int>(cols)},
-                            data);
-  return true;
-}
-
 bool DecodeTrainerState(ByteReader* c, TrainerState* ts, std::string* error) {
   uint64_t moments = 0;
   if (!c->GetU64(&ts->epochs_done) || !c->GetU64(&ts->training_steps) ||
@@ -178,9 +152,6 @@ bool WriteSnapshot(const std::string& path, const Snapshot& snap,
   };
   std::vector<Section> sections;
   sections.push_back({kSectionStateDict, EncodeStateDict(snap.state)});
-  if (snap.has_road_rep) {
-    sections.push_back({kSectionRoadRep, EncodeRoadRep(snap.road_rep)});
-  }
   if (snap.has_trainer_state) {
     sections.push_back({kSectionTrainerState, EncodeTrainerState(snap.trainer)});
   }
@@ -284,10 +255,6 @@ bool ReadSnapshot(const std::string& path, Snapshot* out, std::string* error) {
         if (!DecodeStateDict(&sc, &snap.state, error)) return false;
         saw_state_dict = true;
         break;
-      case kSectionRoadRep:
-        if (!DecodeRoadRep(&sc, &snap.road_rep, error)) return false;
-        snap.has_road_rep = true;
-        break;
       case kSectionTrainerState:
         if (!DecodeTrainerState(&sc, &snap.trainer, error)) return false;
         snap.has_trainer_state = true;
@@ -298,7 +265,8 @@ bool ReadSnapshot(const std::string& path, Snapshot* out, std::string* error) {
         }
         break;
       default:
-        // Unknown optional section from a newer writer: skip by size.
+        // Unknown optional section from a newer writer, or the retired
+        // road-rep section of an older one: skip by size.
         break;
     }
   }

@@ -15,9 +15,10 @@
 /// endianness tag) followed by typed sections. The mandatory state-dict
 /// section stores the named-parameter table and the flattened parameter
 /// arena (every tensor concatenated, one contiguous read/write); optional
-/// sections carry the warm road representation (so a serving process skips
-/// the GridGNN recompute), the trainer state (epoch counters + the Adam
-/// moment arenas, for checkpoint/resume) and a model-name meta tag.
+/// sections carry the trainer state (epoch counters + the Adam moment
+/// arenas, for checkpoint/resume) and a model-name meta tag. Nothing derived
+/// from the weights is stored: a loaded model recomputes it, so it answers
+/// exactly like the weights it was given.
 ///
 /// Every load failure — missing file, truncation, corruption, foreign
 /// version or endianness, shape mismatch — is reported through an error
@@ -34,7 +35,10 @@ inline constexpr uint32_t kEndianTag = 0x01020304u;
 /// they do not know, so older readers tolerate newer optional sections).
 enum SectionType : uint32_t {
   kSectionStateDict = 1,
-  kSectionRoadRep = 2,
+  /// Retired: the road representation, derived from the weights and so a
+  /// second source of truth. Readers skip it like any unknown type, so old
+  /// files still load. Never reuse the tag.
+  kSectionRetiredRoadRep = 2,
   kSectionTrainerState = 3,
   kSectionMeta = 4,
 };
@@ -54,8 +58,6 @@ struct TrainerState {
 /// (fresh storage, no autograd state), never aliased into a live model.
 struct Snapshot {
   StateDict state;
-  bool has_road_rep = false;
-  Tensor road_rep;
   bool has_trainer_state = false;
   TrainerState trainer;
   std::string model_name;  // meta section; empty = absent

@@ -158,12 +158,8 @@ Tensor UnpadRows(const Tensor& a, const std::vector<int>& sizes, int pad_to);
 Tensor SumAll(const Tensor& a);
 /// Mean of all elements -> scalar.
 Tensor MeanAll(const Tensor& a);
-/// Per-row sum of a rank-2 tensor -> (n,1).
-Tensor RowSum(const Tensor& a);
 /// Per-row mean of a rank-2 tensor -> (n,1).
 Tensor RowMean(const Tensor& a);
-/// Per-column sum of a rank-2 tensor -> rank-1 (d).
-Tensor ColSum(const Tensor& a);
 /// Per-column mean of a rank-2 tensor -> rank-1 (d).
 Tensor ColMean(const Tensor& a);
 
@@ -179,9 +175,6 @@ Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Exp(const Tensor& a);
-/// Natural log; inputs must be positive.
-Tensor Log(const Tensor& a);
 Tensor Sqrt(const Tensor& a);
 Tensor Square(const Tensor& a);
 
@@ -191,10 +184,6 @@ Tensor SoftmaxRows(const Tensor& a);
 
 /// Row-wise log-softmax of a rank-2 tensor.
 Tensor LogSoftmaxRows(const Tensor& a);
-
-/// Inverted-dropout: elements zeroed with probability p, survivors scaled by
-/// 1/(1-p). Identity when `training` is false or p == 0.
-Tensor Dropout(const Tensor& a, float p, bool training, Rng& rng);
 
 }  // namespace rntraj
 

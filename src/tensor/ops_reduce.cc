@@ -36,12 +36,12 @@ Tensor MeanAll(const Tensor& a) {
 
 namespace {
 
-Tensor RowReduce(const Tensor& a, bool mean, const char* name) {
+Tensor RowReduce(const Tensor& a, const char* name) {
   auto ai = a.impl();
   RNTRAJ_CHECK(ai->shape.size() == 2);
   const int n = ai->shape[0];
   const int d = ai->shape[1];
-  const float scale = mean ? 1.0f / static_cast<float>(d) : 1.0f;
+  const float scale = 1.0f / static_cast<float>(d);
   auto out = internal::NewImpl({n, 1});
   for (int i = 0; i < n; ++i) {
     double acc = 0.0;
@@ -59,12 +59,12 @@ Tensor RowReduce(const Tensor& a, bool mean, const char* name) {
   return Tensor(out);
 }
 
-Tensor ColReduce(const Tensor& a, bool mean, const char* name) {
+Tensor ColReduce(const Tensor& a, const char* name) {
   auto ai = a.impl();
   RNTRAJ_CHECK(ai->shape.size() == 2);
   const int n = ai->shape[0];
   const int d = ai->shape[1];
-  const float scale = mean ? 1.0f / static_cast<float>(n) : 1.0f;
+  const float scale = 1.0f / static_cast<float>(n);
   auto out = internal::NewImpl({d});
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) {
@@ -86,9 +86,7 @@ Tensor ColReduce(const Tensor& a, bool mean, const char* name) {
 
 }  // namespace
 
-Tensor RowSum(const Tensor& a) { return RowReduce(a, false, "row_sum"); }
-Tensor RowMean(const Tensor& a) { return RowReduce(a, true, "row_mean"); }
-Tensor ColSum(const Tensor& a) { return ColReduce(a, false, "col_sum"); }
-Tensor ColMean(const Tensor& a) { return ColReduce(a, true, "col_mean"); }
+Tensor RowMean(const Tensor& a) { return RowReduce(a, "row_mean"); }
+Tensor ColMean(const Tensor& a) { return ColReduce(a, "col_mean"); }
 
 }  // namespace rntraj

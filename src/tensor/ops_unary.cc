@@ -54,18 +54,6 @@ Tensor Tanh(const Tensor& a) {
       [](float, float y) { return 1.0f - y * y; });
 }
 
-Tensor Exp(const Tensor& a) {
-  return Unary(
-      "exp", a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
-}
-
-Tensor Log(const Tensor& a) {
-  return Unary(
-      "log", a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; });
-}
-
 Tensor Sqrt(const Tensor& a) {
   return Unary(
       "sqrt", a, [](float x) { return std::sqrt(x); },
@@ -142,27 +130,6 @@ Tensor LogSoftmaxRows(const Tensor& a) {
           }
         }
       });
-  return Tensor(out);
-}
-
-Tensor Dropout(const Tensor& a, float p, bool training, Rng& rng) {
-  if (!training || p <= 0.0f) return a;
-  RNTRAJ_CHECK(p < 1.0f);
-  auto ai = a.impl();
-  auto out = internal::NewImplUninit(ai->shape);
-  auto mask = std::make_shared<std::vector<float>>(ai->data.size());
-  const float scale = 1.0f / (1.0f - p);
-  for (size_t i = 0; i < ai->data.size(); ++i) {
-    (*mask)[i] = rng.Bernoulli(p) ? 0.0f : scale;
-    out->data[i] = ai->data[i] * (*mask)[i];
-  }
-  internal::AttachNode("dropout", out, {ai}, [ai, mask](const TensorImpl& o) {
-    if (!ai->requires_grad) return;
-    ai->EnsureGrad();
-    for (size_t i = 0; i < o.data.size(); ++i) {
-      ai->grad[i] += o.grad[i] * (*mask)[i];
-    }
-  });
   return Tensor(out);
 }
 

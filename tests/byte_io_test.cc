@@ -221,13 +221,12 @@ std::string FileBytes(const std::string& path) {
 std::vector<FuzzTarget> FuzzTargets() {
   std::vector<FuzzTarget> targets;
 
-  // Snapshot: every section type, decoded from a file as a worker would.
+  // Snapshot: every section type the writer emits plus one the reader
+  // skips, decoded from a file as a worker would.
   snapshot::Snapshot snap;
   snap.state.Add("w", Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6}));
   snap.state.Add("b", Tensor::FromVector({3}, {7, 8, 9}));
   snap.state.Add("stat", Tensor::FromVector({1}, {0.5f}), /*is_buffer=*/true);
-  snap.has_road_rep = true;
-  snap.road_rep = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   snap.has_trainer_state = true;
   snap.trainer.epochs_done = 3;
   snap.trainer.training_steps = 12;
@@ -236,9 +235,21 @@ std::vector<FuzzTarget> FuzzTargets() {
   const std::string snap_path = ::testing::TempDir() + "byte_io_fuzz.snap";
   std::string err;
   EXPECT_TRUE(snapshot::WriteSnapshot(snap_path, snap, &err)) << err;
+  std::string snap_bytes = FileBytes(snap_path);
+  {  // Append a section of the retired type 2 and count it in the header.
+    uint32_t sections = 0;
+    std::memcpy(&sections, snap_bytes.data() + 16, sizeof(sections));
+    ++sections;
+    std::memcpy(snap_bytes.data() + 16, &sections, sizeof(sections));
+    const float payload[] = {1, 2, 3, 4};
+    PutU32(&snap_bytes, 2);
+    PutU32(&snap_bytes, 0);
+    PutU64(&snap_bytes, sizeof(payload));
+    PutFloats(&snap_bytes, payload, 4);
+  }
   const std::string mutant_path = ::testing::TempDir() + "byte_io_mutant.snap";
   targets.push_back(
-      {"snapshot", FileBytes(snap_path),
+      {"snapshot", snap_bytes,
        [mutant_path](const std::string& bytes, std::string* error,
                      bool* untouched) {
          std::ofstream(mutant_path, std::ios::binary | std::ios::trunc)
@@ -247,7 +258,7 @@ std::vector<FuzzTarget> FuzzTargets() {
          out.model_name = "sentinel";
          const bool ok = snapshot::ReadSnapshot(mutant_path, &out, error);
          *untouched = out.model_name == "sentinel" && out.state.size() == 0 &&
-                      !out.has_road_rep && !out.has_trainer_state;
+                      !out.has_trainer_state;
          return ok;
        }});
 

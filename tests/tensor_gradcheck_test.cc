@@ -153,26 +153,22 @@ TEST(GradCheck, Reductions) {
   Tensor a = Tensor::Randn({3, 4}, 1.0f, true);
   EXPECT_LT(MaxGradError([&] { return Square(SumAll(a)); }, {a}), kTol);
   EXPECT_LT(MaxGradError([&] { return Square(MeanAll(a)); }, {a}), kTol);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(RowSum(a)); }, {a}), kTol);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(RowMean(a)); }, {a}), kTol);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(ColSum(a)); }, {a}), kTol);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(ColMean(a)); }, {a}), kTol);
 }
 
 // Smooth unary ops under a parameterised sweep.
 class UnaryGradTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(UnaryGradTest, SigmoidTanhExpLogSqrtSquare) {
+TEST_P(UnaryGradTest, SigmoidTanhSqrtSquare) {
   SeedGlobalRng(100 + GetParam());
   Tensor a = Tensor::Randn({2, 3}, 0.8f, true);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(Sigmoid(a)); }, {a}), kTol);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(Tanh(a)); }, {a}), kTol);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(Exp(a)); }, {a}), kTol);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(Square(a)); }, {a}), kTol);
-  // Log/Sqrt need positive inputs.
+  // Sqrt needs positive inputs.
   Tensor p = AddScalar(Sigmoid(a).Detach(), 0.5f);
   p.set_requires_grad(true);
-  EXPECT_LT(MaxGradError([&] { return SmoothLoss(Log(p)); }, {p}), kTol);
   EXPECT_LT(MaxGradError([&] { return SmoothLoss(Sqrt(p)); }, {p}), kTol);
 }
 

@@ -213,9 +213,7 @@ TEST(OpsForward, Reductions) {
   Tensor a = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_FLOAT_EQ(SumAll(a).item(), 21);
   EXPECT_FLOAT_EQ(MeanAll(a).item(), 3.5f);
-  ExpectVectorNear(RowSum(a).data(), {6, 15});
   ExpectVectorNear(RowMean(a).data(), {2, 5});
-  ExpectVectorNear(ColSum(a).data(), {5, 7, 9});
   ExpectVectorNear(ColMean(a).data(), {2.5f, 3.5f, 4.5f});
 }
 
@@ -228,26 +226,6 @@ TEST(OpsForward, ActivationsKnownValues) {
   EXPECT_FLOAT_EQ(s.item(), 0.5f);
   Tensor t = Tanh(Tensor::FromVector({1}, {0}));
   EXPECT_FLOAT_EQ(t.item(), 0.0f);
-}
-
-TEST(OpsForward, DropoutIdentityWhenEvalOrZeroP) {
-  Rng rng(1);
-  Tensor a = Tensor::FromVector({4}, {1, 2, 3, 4});
-  EXPECT_EQ(Dropout(a, 0.5f, /*training=*/false, rng).impl(), a.impl());
-  EXPECT_EQ(Dropout(a, 0.0f, /*training=*/true, rng).impl(), a.impl());
-}
-
-TEST(OpsForward, DropoutMasksAndScales) {
-  Rng rng(3);
-  Tensor a = Tensor::Full({1000}, 1.0f);
-  Tensor d = Dropout(a, 0.5f, true, rng);
-  int zeros = 0;
-  for (float v : d.data()) {
-    EXPECT_TRUE(v == 0.0f || v == 2.0f);
-    zeros += v == 0.0f;
-  }
-  EXPECT_GT(zeros, 400);
-  EXPECT_LT(zeros, 600);
 }
 
 // Softmax rows sum to one for a sweep of shapes (property test).
