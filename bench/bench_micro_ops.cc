@@ -18,8 +18,9 @@
 #include "src/nn/attention.h"
 #include "src/nn/graph.h"
 #include "src/nn/rnn.h"
-#include "src/serve/roadnet_cache.h"
 #include "src/roadnet/subgraph.h"
+#include "src/serve/roadnet_cache.h"
+#include "src/serve/workload.h"
 #include "src/sim/city.h"
 #include "src/sim/presets.h"
 #include "src/tensor/buffer_pool.h"
@@ -651,6 +652,94 @@ void BM_DecoderBatch(benchmark::State& state) {
   state.SetLabel("one batched decode, B=" + std::to_string(b) + ", d=32");
 }
 BENCHMARK(BM_DecoderBatch)->Arg(4)->Arg(8)->Arg(16);
+
+/// The decoder's masked argmax over 16 lanes of Arg0 segments (the 270- and
+/// 848-segment id heads): Gaussian scores and bias, a -16 floor and 29
+/// listed segments above it, as a prior step lists them. Items are rows.
+void BM_MaskedArgmax(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kRows = 16;
+  constexpr int kListed = 29;
+  Rng rng(31);
+  std::vector<float> scores(static_cast<size_t>(kRows) * n);
+  std::vector<float> bias(n);
+  for (float& x : scores) x = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  for (float& x : bias) x = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  std::vector<int> ids;
+  for (int v = static_cast<int>(rng.UniformInt(0, n / kListed));
+       v < n && static_cast<int>(ids.size()) < kListed; v += n / kListed) {
+    ids.push_back(v);
+  }
+  std::vector<float> vals(ids.size());
+  for (float& x : vals) x = static_cast<float>(rng.Uniform(-15.9, 0.0));
+  for (auto _ : state) {
+    for (int p = 0; p < kRows; ++p) {
+      benchmark::DoNotOptimize(MaskedArgmax(
+          scores.data() + static_cast<size_t>(p) * n, bias.data(), -16.0f,
+          ids.data(), vals.data(), static_cast<int>(ids.size()), n));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_MaskedArgmax)->Arg(270)->Arg(848);
+
+/// One-thread replay of the saturate-sparse pool: 512 ephemeral requests on
+/// Shanghai-L full keep 1/16 (4 inputs to 64 steps), d = 24, through
+/// RecoverBatch in batches of 16 with a warm serving cell cache installed,
+/// so every step's radius query, mask and argmax run. Pin it to one core
+/// (taskset -c 2) for a reading free of the pool's helper threads. Items are
+/// requests.
+void BM_RecoverBatchSparse(benchmark::State& state) {
+  struct Replay {
+    std::unique_ptr<Dataset> ds;
+    ModelContext ctx;
+    std::unique_ptr<RnTrajRec> model;
+    std::unique_ptr<serve::CellCandidateCache> cache;
+    std::vector<TrajectorySample> samples;
+
+    Replay() {
+      DatasetConfig cfg = ShanghaiLConfig(BenchScale::kFull, 16);
+      cfg.num_train = cfg.num_val = 0;
+      cfg.num_test = 512;
+      ds = BuildDataset(cfg);
+      ctx = ModelContext::FromDataset(*ds);
+      SeedGlobalRng(12345);
+      const RnTrajRecConfig m = DefaultRnTrajRecConfig(24);
+      model = std::make_unique<RnTrajRec>(m, ctx);
+      model->SetTrainingMode(false);
+      model->BeginInference();
+      cache = std::make_unique<serve::CellCandidateCache>(
+          ctx.rn, ctx.rtree, ctx.grid,
+          std::vector<double>{m.delta, m.decoder.mask_radius,
+                              m.decoder.spatial_prior_radius});
+      model->SetSegmentQuerySource(cache.get());
+      for (const TrajectorySample& s : ds->test()) {
+        serve::RecoveryRequest r = serve::RequestFromSample(s);
+        samples.push_back(MakeEphemeralSample(
+            std::move(r.input), std::move(r.input_indices), r.target_times));
+      }
+    }
+  };
+  static Replay r;
+  constexpr size_t kBatch = 16;
+  const auto batch_at = [&](size_t lo) {
+    std::vector<const TrajectorySample*> ptrs;
+    for (size_t i = lo; i < lo + kBatch; ++i) ptrs.push_back(&r.samples[i]);
+    return ptrs;
+  };
+  NoGradGuard guard;
+  BufferPoolScope pool;
+  for (size_t lo = 0; lo < r.samples.size(); lo += kBatch) {
+    r.model->RecoverBatch(batch_at(lo));  // warms the cache
+  }
+  size_t lo = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(r.model->RecoverBatch(batch_at(lo)));
+    lo = (lo + kBatch) % r.samples.size();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_RecoverBatchSparse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rntraj

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <cstring>
+#include <limits>
 
 #include "src/common/random.h"
 #include "src/core/features.h"
@@ -32,48 +33,89 @@ uint64_t SamplingSeed(uint64_t epoch, int64_t uid) {
   return z ^ (z >> 31);
 }
 
-/// Running argmax with first-max tie-breaking, seeded with the value at
-/// index 0: a value must be strictly greater than the best so far to replace
-/// it, so the lowest index wins among equal maxima (a strict `>` scan from
-/// v = 0; offering index 0 again changes nothing).
-struct FirstMax {
-  explicit FirstMax(float first) : value(first) {}
-  void Offer(int v, float x) {
-    if (x > value) {
-      index = v;
+// Lanes of the argmax kernel: the widest float vector the target has, as in
+// ops_matmul.cc.
+#if defined(__AVX512F__)
+constexpr int kLanes = 16;
+#elif defined(__AVX__)
+constexpr int kLanes = 8;
+#else
+constexpr int kLanes = 4;
+#endif
+using FloatLanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+using IndexLanes =
+    int32_t __attribute__((vector_size(kLanes * sizeof(int32_t))));
+
+/// MaskedArgmax with every listed value strictly above the floor, so a
+/// listed entry scores at least its floor score and the dense pass can run
+/// over the floor alone. Lane l keeps the first max over v = l (mod kLanes)
+/// under a strict `>`; the lanes, the tail and the listed entries then meet
+/// in one order-free reduction where a higher value wins and an equal one
+/// wins at a lower index. Index -1 stands for "nothing above -inf".
+template <bool kBias>
+int FirstMaxKernel(const float* y, const float* b, float floor, const int* ids,
+                   const float* vals, int nnz, int n) {
+  const auto score = [&](int v) { return kBias ? y[v] + b[v] : y[v]; };
+  // The scan keeps a NaN at index 0 as its best for good.
+  if (std::isnan(score(0) + (nnz > 0 && ids[0] == 0 ? vals[0] : floor))) {
+    return 0;
+  }
+  constexpr float kMinusInf = -std::numeric_limits<float>::infinity();
+  FloatLanes best;
+  IndexLanes at;
+  IndexLanes lane_v;
+  for (int l = 0; l < kLanes; ++l) {
+    best[l] = kMinusInf;
+    at[l] = -1;
+    lane_v[l] = l;
+  }
+  int v = 0;
+  for (; v + kLanes <= n; v += kLanes) {
+    FloatLanes x;
+    std::memcpy(&x, y + v, sizeof(x));
+    if constexpr (kBias) {
+      FloatLanes bv;
+      std::memcpy(&bv, b + v, sizeof(bv));
+      x = x + bv;
+    }
+    x = x + floor;
+    const IndexLanes gt = x > best;
+    best = gt ? x : best;
+    at = gt ? lane_v : at;
+    lane_v += kLanes;
+  }
+  int index = -1;
+  float value = kMinusInf;
+  const auto offer = [&](int i, float x) {
+    if (x > value || (x == value && i < index)) {
+      index = i;
       value = x;
     }
-  }
-  int index = 0;
-  float value;
-};
-
-/// First-max argmax of one dense row of n >= 1 values.
-int ArgmaxRow(const float* row, int n) {
-  FirstMax best(row[0]);
-  for (int v = 1; v < n; ++v) best.Offer(v, row[v]);
-  return best.index;
-}
-
-/// First-max argmax over v in [0, n), n >= 1, of (y[v] + b[v]) + m[v],
-/// where the mask m is `vals[k]` at the ascending `ids[k]` (k < nnz) and
-/// `floor` elsewhere. The float expression and its evaluation order are
-/// those of the dense Add(Add(y, b), mask), so the index is the
-/// one a scan of the dense logits picks, without ever materialising them.
-int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
-                 const float* vals, int nnz, int n) {
-  FirstMax best((y[0] + b[0]) + (nnz > 0 && ids[0] == 0 ? vals[0] : floor));
-  int v = 0;
-  for (int k = 0; k < nnz; ++k) {
-    for (; v < ids[k]; ++v) best.Offer(v, (y[v] + b[v]) + floor);
-    best.Offer(v, (y[v] + b[v]) + vals[k]);
-    ++v;
-  }
-  for (; v < n; ++v) best.Offer(v, (y[v] + b[v]) + floor);
-  return best.index;
+  };
+  for (int l = 0; l < kLanes; ++l) offer(at[l], best[l]);
+  for (; v < n; ++v) offer(v, score(v) + floor);
+  for (int k = 0; k < nnz; ++k) offer(ids[k], score(ids[k]) + vals[k]);
+  return std::max(index, 0);
 }
 
 }  // namespace
+
+int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
+                 const float* vals, int nnz, int n) {
+  for (int k = 0; k < nnz; ++k) {
+    if (vals[k] > floor) continue;
+    // A listed value at or below the floor (an observed step whose radius
+    // query expanded past mask_radius): score the dense row instead.
+    const auto score = [&](int v) { return b ? y[v] + b[v] : y[v]; };
+    std::vector<float> x(n);
+    for (int v = 0; v < n; ++v) x[v] = score(v) + floor;
+    for (int i = 0; i < nnz; ++i) x[ids[i]] = score(ids[i]) + vals[i];
+    return FirstMaxKernel<false>(x.data(), nullptr, 0.0f, nullptr, nullptr, 0,
+                                 n);
+  }
+  return b ? FirstMaxKernel<true>(y, b, floor, ids, vals, nnz, n)
+           : FirstMaxKernel<false>(y, b, floor, ids, vals, nnz, n);
+}
 
 Decoder::Decoder(const DecoderConfig& config, const ModelContext* ctx)
     : cfg_(config),
@@ -83,11 +125,12 @@ Decoder::Decoder(const DecoderConfig& config, const ModelContext* ctx)
       gru_(2 * config.dim + 4, config.dim),
       id_head_(config.dim, ctx->rn->num_segments()),
       rate_head_(2 * config.dim, 1) {
-  // Every allowed hard-mask weight must sit above the forbidden logit, and
+  // Every allowed hard-mask weight, as the float the mask stores, must sit
+  // above the forbidden logit (MaskedArgmax's fast path relies on it), and
   // the prior must fall off from 0 to a negative floor (the relation that
   // sizes spatial_prior_radius).
   const double edge_z = config.mask_radius / config.beta;
-  RNTRAJ_CHECK_MSG(-edge_z * edge_z > kForbiddenLogit,
+  RNTRAJ_CHECK_MSG(static_cast<float>(-edge_z * edge_z) > kForbiddenLogit,
                    "decoder: mask_radius " << config.mask_radius
                        << " m at beta " << config.beta
                        << " puts allowed segments below the forbidden logit");
@@ -167,9 +210,9 @@ Decoder::SampleCache Decoder::BuildSampleCache(
   }
 
   // Constraint masks at observed steps; soft spatial prior elsewhere. Each
-  // step stores only its listed segments, in ascending id order, over a
-  // constant floor; a listed prior weight equal to the floor is dropped (it
-  // is the value an unlisted segment gets).
+  // step stores only its listed segments, in ascending id order (a cache hit
+  // lists them so already), over a constant floor; a listed prior weight
+  // equal to the floor is dropped (it is the value an unlisted segment gets).
   SampleCache::SparseMasks& m = c.masks;
   m.floor.reserve(len);
   m.offsets.reserve(len + 1);
@@ -369,10 +412,11 @@ std::vector<Tensor> Decoder::TrainLossBatch(
     std::vector<char> force(active);
     for (int p = 0; p < active; ++p) {
       force[p] = rngs[p].Bernoulli(cfg_.teacher_forcing) ? 1 : 0;
+      const float* row =
+          logits.data().data() + static_cast<size_t>(p) * logits.cols();
       fed[p] = force[p] ? targets[p]
-                        : ArgmaxRow(logits.data().data() +
-                                        static_cast<size_t>(p) * logits.cols(),
-                                    logits.cols());
+                        : MaskedArgmax(row, nullptr, 0.0f, nullptr, nullptr, 0,
+                                       logits.cols());
     }
     Tensor x_j = seg_emb_.Forward(fed);  // (active, d)
     Tensor r_pred =

@@ -48,6 +48,20 @@ struct DecoderConfig {
   float spatial_prior_floor = -16.0f;
 };
 
+/// The decoder's greedy choice: the index a strict-`>` scan from v = 0 picks
+/// over x[v] = (y[v] + b[v]) + m[v], v in [0, n), n >= 1. The additive mask
+/// m is vals[k] at the ascending ids[k] (k < nnz) and `floor` elsewhere; a
+/// null `b` reads as zeros, so (row, nullptr, 0, nullptr, nullptr, 0, n) is
+/// the argmax of a dense row. Hence ties (-0 against +0 included) go to the
+/// lowest index, a NaN is never picked, and a NaN x[0] or a row with nothing
+/// above -inf gives 0. The float expression and its evaluation order are
+/// those of the dense Add(Add(y, b), mask), so the index is the one a scan
+/// of the dense logits picks, without materialising them: one vector pass
+/// over (y + b) + floor, then a merge of the listed entries. A row that
+/// lists a value not above its floor is materialised first.
+int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
+                 const float* vals, int nnz, int n);
+
 /// Shared decoder; one instance per model.
 class Decoder : public Module {
  public:

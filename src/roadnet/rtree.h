@@ -63,7 +63,7 @@ struct NearbySegment {
 
 /// All segments whose exact geometric distance to `p` is at most `radius`,
 /// sorted by ascending distance (ties broken by segment id, so the ordering
-/// is deterministic and reproducible by cached query paths). When nothing is
+/// is deterministic; see SortNearbySegments). When nothing is
 /// inside the radius the search expands (doubling) until at least one segment
 /// is found, so the result is never empty on a non-empty network — the
 /// behaviour Sub-Graph Generation needs for far-off noisy points.
@@ -72,8 +72,9 @@ std::vector<NearbySegment> SegmentsWithinRadius(const RoadNetwork& rn,
                                                 double radius);
 
 /// Canonical ordering of radius-query results: ascending exact distance,
-/// ties broken by segment id. Exposed so cached query paths (serving) can
-/// reproduce SegmentsWithinRadius output bit-for-bit.
+/// ties broken by segment id. Exposed so callers of a SegmentQuerySource
+/// that need the nearest first (sub-graph truncation) can restore
+/// SegmentsWithinRadius output bit for bit.
 void SortNearbySegments(std::vector<NearbySegment>* segs);
 
 /// Radius queries for a batch of points, parallelised over the shared thread
@@ -95,8 +96,9 @@ class SegmentQuerySource {
  public:
   virtual ~SegmentQuerySource() = default;
 
-  /// Same contract as SegmentsWithinRadius (sorted, never empty on a
-  /// non-empty network).
+  /// The hit set of SegmentsWithinRadius, bit for bit (never empty on a
+  /// non-empty network), in unspecified order: callers that need the
+  /// canonical order apply SortNearbySegments.
   virtual std::vector<NearbySegment> WithinRadius(const Vec2& p,
                                                   double radius) const = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 namespace rntraj {
 
@@ -16,8 +17,10 @@ PointSubGraph ExtractPointSubGraph(const RoadNetwork& rn,
                                    const SegmentQuerySource& source,
                                    const Vec2& p, double delta, double gamma,
                                    int max_nodes) {
-  return BuildPointSubGraph(rn, source.WithinRadius(p, delta), gamma,
-                            max_nodes);
+  // Sorted before BuildPointSubGraph keeps the nearest max_nodes.
+  std::vector<NearbySegment> near = source.WithinRadius(p, delta);
+  SortNearbySegments(&near);
+  return BuildPointSubGraph(rn, std::move(near), gamma, max_nodes);
 }
 
 PointSubGraph BuildPointSubGraph(const RoadNetwork& rn,

@@ -45,7 +45,8 @@ PointSubGraph ExtractPointSubGraph(const RoadNetwork& rn, const RTree& rtree,
 
 /// Same extraction answering the radius query through `source` instead of the
 /// raw R-tree — the hook online inference uses to share cached roadnet work
-/// across requests (the cache is exact, so outputs are identical).
+/// across requests (the cache is exact, so outputs are identical). The
+/// source's hits come in any order; they are sorted here.
 PointSubGraph ExtractPointSubGraph(const RoadNetwork& rn,
                                    const SegmentQuerySource& source,
                                    const Vec2& p, double delta, double gamma,

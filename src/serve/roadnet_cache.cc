@@ -60,10 +60,12 @@ const CellCandidateCache::Candidates& CellCandidateCache::Fill(
   const GridMapping::Cell c{cell % grid_->cols(), cell / grid_->cols()};
   const BBox query = BBox::FromPoint(grid_->CellCenter(c))
                          .Buffered(radii_[slot] + half_diag_);
+  // Ascending segment id, so a hit lists its segments in id order.
+  std::vector<int> ids = rtree_->Query(query);
+  std::sort(ids.begin(), ids.end());
   auto value = std::make_unique<Candidates>();
-  for (int id : rtree_->Query(query)) {
-    value->push_back({id, rn_->segment(id).geometry.bounds()});
-  }
+  value->reserve(ids.size());
+  for (int id : ids) value->push_back({id, rn_->segment(id).geometry.bounds()});
   misses_.fetch_add(1, std::memory_order_relaxed);
   const auto [resident, won] =
       table_.Publish(KeyOf(cell, slot), std::move(value));
@@ -86,15 +88,13 @@ std::vector<NearbySegment> CellCandidateCache::WithinRadius(
     // segments the direct path would project.
     const BBox qbox = BBox::FromPoint(p).Buffered(radius);
     std::vector<NearbySegment> out;
+    out.reserve(cached->size());
     for (const CandidateBox& cand : *cached) {
       if (!cand.box.Intersects(qbox)) continue;
       PointProjection proj = rn_->Project(p, cand.seg_id);
       if (proj.distance <= radius) out.push_back({cand.seg_id, proj});
     }
-    if (!out.empty()) {
-      SortNearbySegments(&out);
-      return out;
-    }
+    if (!out.empty()) return out;
     // Fall through: the direct path's radius expansion must kick in.
   }
   fallbacks_.fetch_add(1, std::memory_order_relaxed);

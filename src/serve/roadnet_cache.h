@@ -19,8 +19,10 @@
 /// for a cell c and radius r it stores every segment whose bounding box
 /// intersects the (r + half-cell-diagonal)-buffered cell centre — a provable
 /// superset of any exact radius-r query issued from inside c. Per query only
-/// the exact projection + filter runs, so cached answers are bit-identical
-/// to SegmentsWithinRadius: caching never changes model outputs.
+/// the exact projection + filter runs, so a cached answer holds exactly the
+/// segments and distances SegmentsWithinRadius gives, bit for bit: caching
+/// never changes model outputs. Only the order differs: a hit lists its
+/// segments by ascending id, with no distance sort (SegmentQuerySource).
 ///
 /// The key space (grid cells × served radii) is fixed at construction, so
 /// the cache is a write-once table with one slot per key: nothing is ever
@@ -50,7 +52,9 @@ class CellCandidateCache : public SegmentQuerySource {
   CellCandidateCache(const RoadNetwork* rn, const RTree* rtree,
                      const GridMapping* grid, std::vector<double> radii);
 
-  /// Exact SegmentsWithinRadius semantics (sorted, never empty).
+  /// The exact SegmentsWithinRadius hit set, never empty. A cache hit lists
+  /// it by ascending segment id; the direct path (see RoadnetCacheStats::
+  /// fallbacks) in SegmentsWithinRadius order.
   std::vector<NearbySegment> WithinRadius(const Vec2& p,
                                           double radius) const override;
 
@@ -86,9 +90,9 @@ class CellCandidateCache : public SegmentQuerySource {
     return static_cast<size_t>(cell) * radii_.size() + slot;
   }
 
-  /// Computes the conservative candidates for (cell, slot) and publishes
-  /// them; returns the resident ones (ours, or a racing winner's). Counts one
-  /// miss, and one entry when ours win.
+  /// Computes the conservative candidates for (cell, slot), in ascending
+  /// segment id, and publishes them; returns the resident ones (ours, or a
+  /// racing winner's). Counts one miss, and one entry when ours win.
   const Candidates& Fill(int cell, int slot) const;
 
   const RoadNetwork* rn_;

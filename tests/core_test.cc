@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "src/common/random.h"
@@ -532,6 +534,162 @@ TEST_F(CoreFixture, DecoderRejectsMasksItCannotRepresent) {
   DecoderConfig flat_floor;
   flat_floor.spatial_prior_floor = 0.0f;
   EXPECT_DEATH(Decoder(flat_floor, ctx_), "spatial_prior_floor");
+}
+
+TEST_F(CoreFixture, DecoderChecksTheEdgeWeightAsStored) {
+  // Just inside the forbidden logit in double, but the float the mask
+  // stores rounds to it: an allowed segment would tie a forbidden one.
+  DecoderConfig edge;
+  edge.mask_radius = 15.0 * std::sqrt(60.0 - 1e-6);
+  const double z = edge.mask_radius / edge.beta;
+  ASSERT_GT(-z * z, -60.0);
+  ASSERT_EQ(static_cast<float>(-z * z), -60.0f);
+  EXPECT_DEATH(Decoder(edge, ctx_), "forbidden logit");
+}
+
+// ----- MaskedArgmax ---------------------------------------------------------
+
+// The scan MaskedArgmax must agree with: materialise the dense logits, then
+// a strict `>` from index 0.
+int ScalarMaskedArgmax(const std::vector<float>& y, const std::vector<float>& b,
+                       float floor, const std::vector<int>& ids,
+                       const std::vector<float>& vals) {
+  const int n = static_cast<int>(y.size());
+  std::vector<float> m(n, floor);
+  for (size_t k = 0; k < ids.size(); ++k) m[ids[k]] = vals[k];
+  std::vector<float> x(n);
+  for (int v = 0; v < n; ++v) x[v] = (y[v] + (b.empty() ? 0.0f : b[v])) + m[v];
+  int best = 0;
+  for (int v = 1; v < n; ++v) {
+    if (x[v] > x[best]) best = v;
+  }
+  return best;
+}
+
+struct ArgmaxCase {
+  std::string what;
+  std::vector<float> y;
+  std::vector<float> b;  ///< Empty: no bias (the dense-row call).
+  float floor = 0.0f;
+  std::vector<int> ids;
+  std::vector<float> vals;
+};
+
+void ExpectMatchesScalar(const ArgmaxCase& c) {
+  const int got =
+      MaskedArgmax(c.y.data(), c.b.empty() ? nullptr : c.b.data(), c.floor,
+                   c.ids.data(), c.vals.data(), static_cast<int>(c.ids.size()),
+                   static_cast<int>(c.y.size()));
+  EXPECT_EQ(got, ScalarMaskedArgmax(c.y, c.b, c.floor, c.ids, c.vals))
+      << c.what << ", n = " << c.y.size() << ", nnz = " << c.ids.size();
+}
+
+TEST(MaskedArgmaxTest, MatchesTheScalarScan) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(29);
+  for (const int n : {1, 7, 15, 16, 17, 270, 848}) {
+    const auto values = [&](auto draw) {
+      std::vector<float> v(n);
+      for (float& x : v) x = draw();
+      return v;
+    };
+    const auto gauss = [&] { return static_cast<float>(rng.Gaussian(0, 1)); };
+    // A few distinct values: maxima repeat across lanes and the tail.
+    const auto coarse = [&] {
+      return static_cast<float>(rng.UniformInt(0, 2));
+    };
+    const auto signed_zero = [&] { return rng.Bernoulli(0.5) ? 0.0f : -0.0f; };
+    // Listed entries: none, every fourth id, and the two ends alone.
+    std::vector<std::vector<int>> id_sets = {{}, {0}, {n - 1}};
+    id_sets.emplace_back();
+    for (int v = 0; v < n; v += 4) id_sets.back().push_back(v);
+    if (n > 1) id_sets.push_back({0, n - 1});
+    for (const std::vector<int>& ids : id_sets) {
+      const float floor = -16.0f;
+      std::vector<float> above;  // strictly above the floor: the fast path
+      std::vector<float> below;  // some at or below it: the dense fallback
+      for (size_t k = 0; k < ids.size(); ++k) {
+        above.push_back(floor + static_cast<float>(rng.Uniform(0.01, 16.0)));
+        below.push_back(k % 2 == 0 ? floor - 50.0f : floor);
+      }
+      const std::string tag = " ids " + std::to_string(ids.size());
+      std::vector<ArgmaxCase> cases = {
+          {"gaussian" + tag, values(gauss), values(gauss), floor, ids, above},
+          {"below floor" + tag, values(gauss), values(gauss), floor, ids,
+           below},
+          {"ties" + tag, values(coarse), std::vector<float>(n, 0.0f), floor,
+           ids, above},
+          {"ties at the floor" + tag, values(coarse),
+           std::vector<float>(n, 0.0f), floor, ids,
+           std::vector<float>(ids.size(), floor + 1.0f)},
+          {"signed zeros" + tag, values(signed_zero), values(signed_zero),
+           -0.0f, ids, std::vector<float>(ids.size(), 0.0f)},
+          {"all -inf" + tag, std::vector<float>(n, -kInf),
+           std::vector<float>(n, 0.0f), floor, ids, above},
+          {"dense gaussian", values(gauss), {}, 0.0f, {}, {}},
+          {"dense ties", values(coarse), {}, 0.0f, {}, {}},
+          {"dense signed zeros", values(signed_zero), {}, 0.0f, {}, {}},
+          {"dense all -inf", std::vector<float>(n, -kInf), {}, 0.0f, {}, {}},
+      };
+      // NaN at index 0, in the middle, at the maximum and in the bias;
+      // infinities of both signs.
+      ArgmaxCase c = cases[0];
+      c.what = "nan at 0" + tag;
+      c.y[0] = kNan;
+      cases.push_back(c);
+      c = cases[0];
+      c.what = "nan at max" + tag;
+      const int top = ScalarMaskedArgmax(c.y, c.b, c.floor, c.ids, c.vals);
+      c.y[top] = kNan;
+      c.y[n / 2] = kNan;
+      cases.push_back(c);
+      c = cases[0];
+      c.what = "nan bias" + tag;
+      c.b[n - 1] = kNan;
+      c.b[n / 3] = kNan;
+      cases.push_back(c);
+      c = cases[2];
+      c.what = "infinities" + tag;
+      c.y[n / 2] = kInf;
+      c.y[n - 1] = kInf;
+      c.y[n / 3] = -kInf;
+      cases.push_back(c);
+      c = cases[6];
+      c.what = "dense nan at 0";
+      c.y[0] = kNan;
+      cases.push_back(c);
+      c = cases[6];
+      c.what = "dense infinities and nan";
+      c.y[n - 1] = kInf;
+      c.y[n / 2] = kInf;
+      c.y[n / 4] = kNan;
+      cases.push_back(c);
+      for (const ArgmaxCase& each : cases) ExpectMatchesScalar(each);
+    }
+  }
+}
+
+TEST(MaskedArgmaxTest, ListedEntryWinsOrLosesByItsMask) {
+  // A listed entry scores vals[k], not the floor: it can beat a higher raw
+  // score elsewhere, and a later equal score never displaces an earlier one.
+  std::vector<float> y(40, 0.0f);
+  y[3] = 5.0f;
+  const std::vector<float> b(40, 0.0f);
+  const std::vector<int> ids = {10, 30};
+  const std::vector<float> vals = {-1.0f, -1.0f};
+  y[10] = 30.0f;  // 30 - 1 beats 5 - 20
+  EXPECT_EQ(MaskedArgmax(y.data(), b.data(), -20.0f, ids.data(), vals.data(),
+                         2, 40),
+            10);
+  y[30] = 30.0f;  // ties 29 at index 10: the first stays
+  EXPECT_EQ(MaskedArgmax(y.data(), b.data(), -20.0f, ids.data(), vals.data(),
+                         2, 40),
+            10);
+  y[10] = y[30] = 0.0f;  // unlisted 5 - 20 = -15 loses to listed 0 - 1
+  EXPECT_EQ(MaskedArgmax(y.data(), b.data(), -20.0f, ids.data(), vals.data(),
+                         2, 40),
+            10);
 }
 
 TEST_F(CoreFixture, RnTrajRecLossIsFiniteAndBackpropagates) {

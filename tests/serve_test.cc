@@ -12,6 +12,7 @@
 
 #include "src/common/random.h"
 #include "src/core/rntrajrec.h"
+#include "src/roadnet/subgraph.h"
 #include "src/serve/micro_batcher.h"
 #include "src/serve/recovery_service.h"
 #include "src/serve/roadnet_cache.h"
@@ -270,26 +271,81 @@ ModelContext* ServeFixture::ctx_ = nullptr;
 
 // ----- CellCandidateCache ----------------------------------------------------
 
+// A cached answer holds the direct answer's hit set in unspecified order:
+// after the canonical sort, ids and distances match bit for bit.
+void ExpectSameHits(std::vector<NearbySegment> cached,
+                    const std::vector<NearbySegment>& direct,
+                    const std::string& what) {
+  SortNearbySegments(&cached);
+  ASSERT_EQ(cached.size(), direct.size()) << what;
+  for (size_t i = 0; i < cached.size(); ++i) {
+    EXPECT_EQ(cached[i].seg_id, direct[i].seg_id) << what;
+    EXPECT_EQ(cached[i].projection.distance, direct[i].projection.distance)
+        << what;
+  }
+}
+
 TEST_F(ServeFixture, CellCacheIsExact) {
+  // The model's three radii (sub-graph delta, mask and prior radii), plus a
+  // 1 m radius where most points hit nothing and take the direct path's
+  // radius expansion.
+  const std::vector<double> radii{250.0, 100.0, 220.0, 1.0};
   serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
-                                  &dataset_->grid(), {250.0, 100.0});
+                                  &dataset_->grid(), radii);
   Rng rng(11);
   const BBox& b = dataset_->roadnet().bounds();
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < 400; ++trial) {
     const Vec2 p{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
-    const double radius = trial % 2 == 0 ? 250.0 : 100.0;
-    auto cached = cache.WithinRadius(p, radius);
-    auto direct =
-        SegmentsWithinRadius(dataset_->roadnet(), dataset_->rtree(), p, radius);
-    ASSERT_EQ(cached.size(), direct.size()) << "trial " << trial;
-    for (size_t i = 0; i < cached.size(); ++i) {
-      EXPECT_EQ(cached[i].seg_id, direct[i].seg_id);
-      EXPECT_DOUBLE_EQ(cached[i].projection.distance,
-                       direct[i].projection.distance);
-    }
+    const double radius = radii[trial % radii.size()];
+    ExpectSameHits(
+        cache.WithinRadius(p, radius),
+        SegmentsWithinRadius(dataset_->roadnet(), dataset_->rtree(), p, radius),
+        "trial " + std::to_string(trial));
   }
   const auto stats = cache.stats();
-  EXPECT_GT(stats.hits + stats.misses + stats.fallbacks, 0);
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_GT(stats.fallbacks, 0);  // the empty-hit fallback ran
+}
+
+TEST_F(ServeFixture, CellCacheHitListsAscendingIds) {
+  serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
+                                  &dataset_->grid(), {250.0});
+  Rng rng(12);
+  const BBox& b = dataset_->roadnet().bounds();
+  for (int trial = 0; trial < 50; ++trial) {
+    const Vec2 p{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
+    cache.WithinRadius(p, 250.0);  // fills the cell
+    const int64_t hits = cache.stats().hits;
+    const auto cached = cache.WithinRadius(p, 250.0);
+    if (cache.stats().hits == hits) continue;  // a fallback, not a hit
+    for (size_t i = 1; i < cached.size(); ++i) {
+      EXPECT_LT(cached[i - 1].seg_id, cached[i].seg_id) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(cache.stats().hits, 0);
+}
+
+TEST_F(ServeFixture, CellCacheSubGraphMatchesRTree) {
+  // The cache's hits come unsorted; the sub-graph must still keep the
+  // nearest max_nodes, in distance order, like the R-tree path.
+  serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
+                                  &dataset_->grid(), {250.0});
+  Rng rng(14);
+  const BBox& b = dataset_->roadnet().bounds();
+  for (int trial = 0; trial < 100; ++trial) {
+    const Vec2 p{rng.Uniform(b.min_x, b.max_x), rng.Uniform(b.min_y, b.max_y)};
+    const int max_nodes = trial % 2 == 0 ? 8 : 64;
+    const PointSubGraph cached = ExtractPointSubGraph(
+        dataset_->roadnet(), cache, p, 250.0, 30.0, max_nodes);
+    const PointSubGraph direct =
+        ExtractPointSubGraph(dataset_->roadnet(), dataset_->rtree(), p, 250.0,
+                             30.0, max_nodes);
+    EXPECT_EQ(cached.seg_ids, direct.seg_ids) << "trial " << trial;
+    EXPECT_EQ(cached.distances, direct.distances) << "trial " << trial;
+    EXPECT_EQ(cached.weights, direct.weights) << "trial " << trial;
+    EXPECT_EQ(cached.local_edges, direct.local_edges) << "trial " << trial;
+  }
+  EXPECT_GT(cache.stats().hits, 0);
 }
 
 TEST_F(ServeFixture, CellCacheUnknownRadiusFallsBack) {
@@ -297,10 +353,10 @@ TEST_F(ServeFixture, CellCacheUnknownRadiusFallsBack) {
                                   &dataset_->grid(), {250.0});
   const BBox& b = dataset_->roadnet().bounds();
   const Vec2 p{0.5 * (b.min_x + b.max_x), 0.5 * (b.min_y + b.max_y)};
-  auto cached = cache.WithinRadius(p, 123.0);  // not a configured radius
-  auto direct =
-      SegmentsWithinRadius(dataset_->roadnet(), dataset_->rtree(), p, 123.0);
-  EXPECT_EQ(cached.size(), direct.size());
+  ExpectSameHits(
+      cache.WithinRadius(p, 123.0),  // not a configured radius
+      SegmentsWithinRadius(dataset_->roadnet(), dataset_->rtree(), p, 123.0),
+      "unknown radius");
   EXPECT_GE(cache.stats().fallbacks, 1);
 }
 
@@ -337,8 +393,8 @@ TEST_F(ServeFixture, CellCacheSecondSweepAddsNoMisses) {
 
 TEST_F(ServeFixture, CellCacheConcurrentReadersMatchDirect) {
   // Four threads race on one cache over overlapping points, mixing queries
-  // and prefetches at both radii: every answer is the direct R-tree answer,
-  // bit for bit.
+  // and prefetches at both radii: every answer holds the direct R-tree
+  // answer's hits, bit for bit.
   const std::vector<double> radii{250.0, 100.0};
   serve::CellCandidateCache cache(&dataset_->roadnet(), &dataset_->rtree(),
                                   &dataset_->grid(), radii);
@@ -364,15 +420,10 @@ TEST_F(ServeFixture, CellCacheConcurrentReadersMatchDirect) {
                      radii[t % 2]);
       for (size_t i = 0; i < mine.size(); ++i) {
         const double radius = radii[(t + i) % 2];
-        const auto cached = cache.WithinRadius(mine[i], radius);
-        const auto direct = SegmentsWithinRadius(
-            dataset_->roadnet(), dataset_->rtree(), mine[i], radius);
-        EXPECT_EQ(cached.size(), direct.size());
-        for (size_t k = 0; k < std::min(cached.size(), direct.size()); ++k) {
-          EXPECT_EQ(cached[k].seg_id, direct[k].seg_id);
-          EXPECT_EQ(cached[k].projection.distance,
-                    direct[k].projection.distance);
-        }
+        ExpectSameHits(cache.WithinRadius(mine[i], radius),
+                       SegmentsWithinRadius(dataset_->roadnet(),
+                                            dataset_->rtree(), mine[i], radius),
+                       "point " + std::to_string(i));
       }
     });
   }
