@@ -41,12 +41,7 @@ class EncoderDecoderModel : public Module, public RecoveryModel {
   }
 
   std::string name() const override { return name_; }
-  std::vector<Tensor> Parameters() override { return Module::Parameters(); }
-  using Module::ParameterCount;
-  rntraj::StateDict StateDict() override { return Module::StateDict(); }
-  LoadReport LoadStateDict(const rntraj::StateDict& src) override {
-    return Module::LoadStateDict(src);
-  }
+  rntraj::StateDict StateDict() const override { return Module::StateDict(); }
 
   /// The encoders run per sample; the shared decoder sees each sample as a
   /// batch of one.

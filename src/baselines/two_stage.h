@@ -27,8 +27,6 @@ class LinearHmmModel : public RecoveryModel {
       : ctx_(ctx), hmm_(hmm) {}
 
   std::string name() const override { return "Linear+HMM"; }
-  bool IsLearned() const override { return false; }
-  std::vector<Tensor> Parameters() override { return {}; }
   Tensor TrainLoss(const TrajectorySample&) override { return Tensor(); }
   MatchedTrajectory Recover(const TrajectorySample& sample) override;
 
@@ -45,12 +43,7 @@ class DhtrModel : public Module, public RecoveryModel {
   DhtrModel(int dim, const ModelContext& ctx);
 
   std::string name() const override { return "DHTR+HMM"; }
-  std::vector<Tensor> Parameters() override { return Module::Parameters(); }
-  using Module::ParameterCount;
-  rntraj::StateDict StateDict() override { return Module::StateDict(); }
-  LoadReport LoadStateDict(const rntraj::StateDict& src) override {
-    return Module::LoadStateDict(src);
-  }
+  rntraj::StateDict StateDict() const override { return Module::StateDict(); }
   Tensor TrainLoss(const TrajectorySample& sample) override;
   MatchedTrajectory Recover(const TrajectorySample& sample) override;
   void SetTrainingMode(bool training) override { SetTraining(training); }

@@ -46,7 +46,7 @@ using FloatLanes = float __attribute__((vector_size(kLanes * sizeof(float))));
 using IndexLanes =
     int32_t __attribute__((vector_size(kLanes * sizeof(int32_t))));
 
-/// MaskedArgmax with every listed value strictly above the floor, so a
+/// MaskedArgmax's kernel. Every listed value is above the floor, so a
 /// listed entry scores at least its floor score and the dense pass can run
 /// over the floor alone. Lane l keeps the first max over v = l (mod kLanes)
 /// under a strict `>`; the lanes, the tail and the listed entries then meet
@@ -102,17 +102,6 @@ int FirstMaxKernel(const float* y, const float* b, float floor, const int* ids,
 
 int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
                  const float* vals, int nnz, int n) {
-  for (int k = 0; k < nnz; ++k) {
-    if (vals[k] > floor) continue;
-    // A listed value at or below the floor (an observed step whose radius
-    // query expanded past mask_radius): score the dense row instead.
-    const auto score = [&](int v) { return b ? y[v] + b[v] : y[v]; };
-    std::vector<float> x(n);
-    for (int v = 0; v < n; ++v) x[v] = score(v) + floor;
-    for (int i = 0; i < nnz; ++i) x[ids[i]] = score(ids[i]) + vals[i];
-    return FirstMaxKernel<false>(x.data(), nullptr, 0.0f, nullptr, nullptr, 0,
-                                 n);
-  }
   return b ? FirstMaxKernel<true>(y, b, floor, ids, vals, nnz, n)
            : FirstMaxKernel<false>(y, b, floor, ids, vals, nnz, n);
 }
@@ -211,26 +200,43 @@ Decoder::SampleCache Decoder::BuildSampleCache(
 
   // Constraint masks at observed steps; soft spatial prior elsewhere. Each
   // step stores only its listed segments, in ascending id order (a cache hit
-  // lists them so already), over a constant floor; a listed prior weight
-  // equal to the floor is dropped (it is the value an unlisted segment gets).
+  // lists them so already), over a constant floor. Every stored weight is
+  // above the floor, as MaskedArgmax requires: a weight at or below it is
+  // dropped (an unlisted segment scores the floor anyway).
   SampleCache::SparseMasks& m = c.masks;
   m.floor.reserve(len);
   m.offsets.reserve(len + 1);
   m.offsets.push_back(0);
   std::vector<std::pair<int, float>> row;
+  const double r = cfg_.mask_radius;
   for (int j = 0; j < len; ++j) {
     const bool observed = observed_pos[j] >= 0;
     const float floor = observed ? kForbiddenLogit : cfg_.spatial_prior_floor;
+    // An observed point with no road within mask_radius widens its radius
+    // query. Its weights -(r^2 + d^2 - d0^2) / beta^2 (d0: the nearest
+    // listed distance) rank the listed roads by distance as log omega does,
+    // and put the nearest at the edge weight -(r/beta)^2, which the
+    // constructor keeps above the floor.
+    double d0 = 0.0;
+    if (observed) {
+      d0 = std::numeric_limits<double>::infinity();
+      for (const auto& ns : near[j]) d0 = std::min(d0, ns.projection.distance);
+    }
     row.clear();
     for (const auto& ns : near[j]) {
-      if (observed) {
-        const double z = ns.projection.distance / cfg_.beta;
-        row.push_back({ns.seg_id, static_cast<float>(-z * z)});  // log omega
-        continue;
+      const double d = ns.projection.distance;
+      float w;
+      if (!observed) {
+        const double z = d / cfg_.spatial_prior_sigma;
+        w = static_cast<float>(-z * z);
+      } else if (d0 > r) {
+        w = static_cast<float>(-(r * r + (d * d - d0 * d0)) /
+                               (cfg_.beta * cfg_.beta));
+      } else {
+        const double z = d / cfg_.beta;
+        w = static_cast<float>(-z * z);  // log omega
       }
-      const double z = ns.projection.distance / cfg_.spatial_prior_sigma;
-      const float w = std::max(floor, static_cast<float>(-z * z));
-      if (w != floor) row.push_back({ns.seg_id, w});
+      if (w > floor) row.push_back({ns.seg_id, w});
     }
     std::sort(row.begin(), row.end());
     for (size_t k = 0; k < row.size(); ++k) {

@@ -57,8 +57,9 @@ struct DecoderConfig {
 /// above -inf gives 0. The float expression and its evaluation order are
 /// those of the dense Add(Add(y, b), mask), so the index is the one a scan
 /// of the dense logits picks, without materialising them: one vector pass
-/// over (y + b) + floor, then a merge of the listed entries. A row that
-/// lists a value not above its floor is materialised first.
+/// over (y + b) + floor, then a merge of the listed entries. Every vals[k]
+/// must be above `floor` (BuildSampleCache stores no other), so a listed
+/// entry never scores below its floor score.
 int MaskedArgmax(const float* y, const float* b, float floor, const int* ids,
                  const float* vals, int nnz, int n);
 

@@ -53,36 +53,23 @@ class RecoveryModel {
 
   virtual std::string name() const = 0;
 
-  /// Learnable parameters (empty for non-learned methods).
-  virtual std::vector<Tensor> Parameters() = 0;
+  /// Canonical named state: every parameter and persistent buffer under a
+  /// stable name — the surface snapshots, checkpoints, hot swap and the
+  /// trainer's optimiser all speak. Module-backed models forward to
+  /// Module::StateDict() (dotted registration paths); the default is empty,
+  /// for methods with nothing to learn.
+  virtual rntraj::StateDict StateDict() const { return {}; }
 
-  int64_t ParameterCount() {
+  /// Total scalar count of the learnable entries (buffers skipped).
+  int64_t ParameterCount() const {
     int64_t n = 0;
-    for (const auto& p : Parameters()) n += p.size();
+    for (const Tensor& p : LearnableTensors(StateDict())) n += p.size();
     return n;
   }
 
-  /// Canonical named state: every parameter and persistent buffer under a
-  /// stable name — the surface snapshots, checkpoints and hot-swap all
-  /// speak. Module-backed models forward to Module::StateDict() (dotted
-  /// registration paths); the default synthesizes positional names from
-  /// Parameters() so non-Module methods share the persistence surface.
-  virtual rntraj::StateDict StateDict() {
-    rntraj::StateDict sd;
-    std::vector<Tensor> params = Parameters();
-    for (size_t i = 0; i < params.size(); ++i) {
-      sd.Add("param." + std::to_string(i), params[i]);
-    }
-    return sd;
-  }
-
-  /// Copies matching entries of `src` into this model's tensors in place.
-  /// Matched names must agree in shape exactly (a mismatch aborts — callers
-  /// holding untrusted bytes go through LoadSnapshot, which pre-checks
-  /// gracefully); returns the missing/unexpected key report.
-  virtual LoadReport LoadStateDict(const rntraj::StateDict& src) {
-    return CopyStateDict(StateDict(), src);
-  }
+  /// True for methods trained by gradient descent: those with learnable
+  /// entries.
+  bool IsLearned() const { return ParameterCount() > 0; }
 
   /// Writes this model's state to a versioned binary snapshot (atomic
   /// tmp+rename): the state dict + a model-name meta tag. Derived state
@@ -112,9 +99,6 @@ class RecoveryModel {
   /// the default pair means "no such state".
   virtual uint64_t TrainingSteps() const { return 0; }
   virtual void SetTrainingSteps(uint64_t steps) { (void)steps; }
-
-  /// True for methods trained by gradient descent.
-  virtual bool IsLearned() const { return true; }
 
   /// Hook before each optimiser step (refresh batch-shared state).
   virtual void BeginBatch() {}

@@ -57,12 +57,7 @@ class RnTrajRec : public Module, public RecoveryModel {
   std::string name() const override {
     return "RNTrajRec" + cfg_.name_suffix;
   }
-  std::vector<Tensor> Parameters() override { return Module::Parameters(); }
-  using Module::ParameterCount;  // disambiguate the two identical helpers
-  rntraj::StateDict StateDict() override { return Module::StateDict(); }
-  LoadReport LoadStateDict(const rntraj::StateDict& src) override {
-    return Module::LoadStateDict(src);
-  }
+  rntraj::StateDict StateDict() const override { return Module::StateDict(); }
   /// The step-keyed stream behind scheduled sampling: the decoder seeds its
   /// per-sample coin flips with (steps, uid), so checkpoint resume restores
   /// the counter to replay the exact flips of an uninterrupted run.

@@ -31,10 +31,9 @@ TrainStats TrainModel(RecoveryModel& model,
   // forward/backward allocation is served from the pool.
   BufferPoolScope pool_scope;
   model.SetTrainingMode(true);
-  // The optimiser is built from the state dict (learnable entries in the
-  // dict's deterministic registration order), not from a hand-assembled
-  // Parameters() vector: the dict layout is what checkpoints serialise, so
-  // the Adam moment arenas line up with it by construction.
+  // The optimiser updates the state dict's learnable entries in the dict's
+  // deterministic registration order: the dict layout is what checkpoints
+  // serialise, so the Adam moment arenas line up with it by construction.
   std::vector<Tensor> params = LearnableTensors(model.StateDict());
   Adam opt(params, cfg.lr);
   Rng rng(cfg.seed);

@@ -1,7 +1,6 @@
 #ifndef RNTRAJ_NN_MODULE_H_
 #define RNTRAJ_NN_MODULE_H_
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,13 +29,6 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// All parameters of this module and its registered children.
-  std::vector<Tensor> Parameters() const {
-    std::vector<Tensor> out;
-    CollectParameters(&out);
-    return out;
-  }
-
   /// The canonical named-state surface: every parameter and persistent
   /// buffer under its dotted path, in deterministic registration order
   /// (this module's parameters, then buffers, then each child's subtree).
@@ -48,35 +40,10 @@ class Module {
     return out;
   }
 
-  /// Copies matching entries of `src` into this module's tensors (values
-  /// only; tensor identity is preserved, so optimizer handles stay valid).
-  /// Matched entries must agree in shape exactly — a mismatch aborts.
-  /// Returns the key mismatches: module entries `src` lacks (`missing`,
-  /// left untouched) and `src` entries nothing matched (`unexpected`).
-  LoadReport LoadStateDict(const rntraj::StateDict& src) {
-    return CopyStateDict(StateDict(), src);
-  }
-
-  /// Named (dotted-path) parameters — StateDict() minus the buffers, kept
-  /// for tests and debugging dumps.
-  std::vector<std::pair<std::string, Tensor>> NamedParameters() const {
-    std::vector<std::pair<std::string, Tensor>> out;
-    for (const StateEntry& e : StateDict()) {
-      if (!e.is_buffer) out.emplace_back(e.name, e.tensor);
-    }
-    return out;
-  }
-
-  /// Total scalar parameter count.
-  int64_t ParameterCount() const {
-    int64_t n = 0;
-    for (const auto& p : Parameters()) n += p.size();
-    return n;
-  }
-
-  /// Zeroes every parameter gradient.
-  void ZeroGrad() {
-    for (auto& p : Parameters()) p.ZeroGrad();
+  /// All parameters of this module and its registered children: the
+  /// StateDict()'s learnable entries, in its order.
+  std::vector<Tensor> Parameters() const {
+    return LearnableTensors(StateDict());
   }
 
   /// Switches train/eval mode recursively (affects dropout and GraphNorm).
@@ -111,11 +78,6 @@ class Module {
   }
 
  private:
-  void CollectParameters(std::vector<Tensor>* out) const {
-    for (const auto& [name, p] : params_) out->push_back(p);
-    for (const auto& [name, c] : children_) c->CollectParameters(out);
-  }
-
   void CollectState(const std::string& prefix, rntraj::StateDict* out) const {
     for (const auto& [name, p] : params_) {
       out->Add(prefix.empty() ? name : prefix + "." + name, p,

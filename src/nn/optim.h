@@ -5,76 +5,30 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/nn/state_dict.h"
 #include "src/tensor/tensor.h"
 
 /// \file optim.h
-/// First-order optimisers (SGD, Adam — the paper trains with Adam) and global
-/// gradient-norm clipping.
+/// Adam, the optimiser the paper trains every learned method with, and
+/// global gradient-norm clipping.
 
 namespace rntraj {
-
-/// The learnable tensors of a state dict (buffers skipped), in the dict's
-/// deterministic registration order — the canonical way to hand a module
-/// tree's parameters to an optimiser.
-inline std::vector<Tensor> LearnableTensors(const StateDict& sd) {
-  std::vector<Tensor> out;
-  out.reserve(sd.size());
-  for (const StateEntry& e : sd) {
-    if (!e.is_buffer) out.push_back(e.tensor);
-  }
-  return out;
-}
-
-/// Interface for parameter update rules.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently stored on parameters.
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad() {
-    for (auto& p : params_) p.ZeroGrad();
-  }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-/// Plain stochastic gradient descent.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr)
-      : Optimizer(std::move(params)), lr_(lr) {}
-
-  void Step() override {
-    for (auto& p : params_) {
-      auto& g = p.grad();
-      auto& d = p.data();
-      for (size_t i = 0; i < d.size(); ++i) d[i] -= lr_ * g[i];
-    }
-  }
-
- private:
-  float lr_;
-};
 
 /// Adam (Kingma & Ba) with bias correction.
 ///
 /// The first/second-moment estimates live in two flat arenas laid out
 /// exactly like the parameter sequence (one contiguous buffer each, per-
-/// parameter offsets) — the optimizer-state half of the PR 9 arena design:
-/// a checkpoint serialises Adam as (t, m-arena, v-arena), three fields.
-class Adam : public Optimizer {
+/// parameter offsets), so a checkpoint serialises Adam as (t, m-arena,
+/// v-arena), three fields.
+class Adam {
  public:
-  Adam(std::vector<Tensor> params, float lr = 1e-3f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f)
-      : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
+  /// Optimises `params` (a module's LearnableTensors(StateDict()), so the
+  /// moment layout follows the state dict's registration order).
+  explicit Adam(std::vector<Tensor> params, float lr = 1e-3f,
+                float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f)
+      : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
         eps_(eps) {
     offsets_.reserve(params_.size());
     size_t off = 0;
@@ -86,15 +40,13 @@ class Adam : public Optimizer {
     v_.assign(off, 0.0f);
   }
 
-  /// Canonical constructor since the state-dict redesign: optimises the
-  /// dict's learnable entries (buffers skipped) in registration order, so
-  /// the moment layout is pinned to the state dict rather than to whatever
-  /// order a caller assembled a parameter vector in.
-  explicit Adam(const StateDict& sd, float lr = 1e-3f, float beta1 = 0.9f,
-                float beta2 = 0.999f, float eps = 1e-8f)
-      : Adam(LearnableTensors(sd), lr, beta1, beta2, eps) {}
+  /// Clears all parameter gradients.
+  void ZeroGrad() {
+    for (auto& p : params_) p.ZeroGrad();
+  }
 
-  void Step() override {
+  /// Applies one update using the gradients currently stored on parameters.
+  void Step() {
     ++t_;
     const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
@@ -145,6 +97,7 @@ class Adam : public Optimizer {
   }
 
  private:
+  std::vector<Tensor> params_;
   float lr_;
   float beta1_;
   float beta2_;

@@ -1,9 +1,7 @@
 #ifndef RNTRAJ_NN_STATE_DICT_H_
 #define RNTRAJ_NN_STATE_DICT_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,8 +13,9 @@
 /// \file state_dict.h
 /// The canonical named-state surface of a module tree: an ordered,
 /// name-unique map from dotted paths to tensors. `Module::StateDict()`
-/// produces one in deterministic registration order; `LoadStateDict`
-/// consumes one; the snapshot format (src/snapshot/) serialises one.
+/// produces one in deterministic registration order; the snapshot format
+/// (src/snapshot/) serialises one and `snapshot::ApplyStateDict` loads one
+/// into a live model.
 
 namespace rntraj {
 
@@ -32,8 +31,8 @@ struct StateEntry {
 ///
 /// Entries keep insertion order (the module tree's registration order), so
 /// two StateDicts of the same architecture align positionally as well as by
-/// name — the property the parameter arena and the Adam moment arenas rely
-/// on. Name collisions are programmer errors and abort.
+/// name — the property the Adam moment arenas rely on across a checkpoint
+/// resume. Name collisions are programmer errors and abort.
 class StateDict {
  public:
   void Add(std::string name, Tensor tensor, bool is_buffer = false) {
@@ -68,55 +67,15 @@ class StateDict {
   std::unordered_map<std::string, size_t> index_;
 };
 
-/// Key mismatches from a LoadStateDict call: `missing` are entries the
-/// module owns but the source dict lacks (left untouched), `unexpected` are
-/// source entries no module entry matched (ignored). Shape mismatches on
-/// matched names are contract violations and abort — callers that must
-/// reject foreign shapes gracefully (the snapshot loader) compare shapes
-/// before copying.
-struct LoadReport {
-  std::vector<std::string> missing;
-  std::vector<std::string> unexpected;
-
-  bool Clean() const { return missing.empty() && unexpected.empty(); }
-
-  std::string ToString() const {
-    std::ostringstream oss;
-    oss << "missing=[";
-    for (size_t i = 0; i < missing.size(); ++i) {
-      oss << (i ? ", " : "") << missing[i];
-    }
-    oss << "] unexpected=[";
-    for (size_t i = 0; i < unexpected.size(); ++i) {
-      oss << (i ? ", " : "") << unexpected[i];
-    }
-    oss << "]";
-    return oss.str();
+/// The learnable tensors of a state dict (buffers skipped), in the dict's
+/// deterministic registration order: the parameters an optimiser updates.
+inline std::vector<Tensor> LearnableTensors(const StateDict& sd) {
+  std::vector<Tensor> out;
+  out.reserve(sd.size());
+  for (const StateEntry& e : sd) {
+    if (!e.is_buffer) out.push_back(e.tensor);
   }
-};
-
-/// Copies matching `src` entries into `dst`'s tensors (values only; tensor
-/// identity is preserved, so optimizer handles stay valid). Matched names
-/// must agree in shape exactly — a mismatch aborts. Returns the key
-/// mismatches; the shared engine behind every LoadStateDict.
-inline LoadReport CopyStateDict(const StateDict& dst, const StateDict& src) {
-  LoadReport report;
-  for (const StateEntry& e : dst) {
-    const StateEntry* s = src.Find(e.name);
-    if (s == nullptr) {
-      report.missing.push_back(e.name);
-      continue;
-    }
-    RNTRAJ_CHECK_MSG(s->tensor.shape() == e.tensor.shape(),
-                     "LoadStateDict: shape mismatch for '" << e.name << "'");
-    Tensor t = e.tensor;  // shared impl: writes hit the owning module
-    std::copy(s->tensor.data().begin(), s->tensor.data().end(),
-              t.data().begin());
-  }
-  for (const StateEntry& s : src) {
-    if (dst.Find(s.name) == nullptr) report.unexpected.push_back(s.name);
-  }
-  return report;
+  return out;
 }
 
 }  // namespace rntraj

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/common/byte_io.h"
-#include "src/nn/arena.h"
 
 namespace rntraj {
 namespace snapshot {
@@ -37,11 +36,11 @@ std::string EncodeStateDict(const StateDict& sd) {
     PutU32(&out, static_cast<uint32_t>(e.tensor.rank()));
     for (int d : e.tensor.shape()) PutU32(&out, static_cast<uint32_t>(d));
   }
-  // The flattened arena: all entries collapsed into one contiguous buffer,
-  // written in one shot.
-  ParameterArena arena(sd);
-  PutU64(&out, arena.size());
-  PutFloats(&out, arena.flat().data(), arena.size());
+  // The flat arena: every entry's floats back to back, in table order.
+  PutU64(&out, static_cast<uint64_t>(sd.ScalarCount()));
+  for (const StateEntry& e : sd) {
+    PutFloats(&out, e.tensor.data().data(), e.tensor.data().size());
+  }
   return out;
 }
 
@@ -115,14 +114,14 @@ bool DecodeStateDict(ByteReader* c, StateDict* sd, std::string* error) {
                                " disagrees with the parameter table (" +
                                std::to_string(total) + ")");
   }
-  std::vector<float> flat;
-  if (!c->GetFloats(&flat, stored)) {
-    return SetError(error, "truncated parameter arena");
-  }
-  size_t off = 0;
   for (const Meta& m : metas) {
-    std::vector<float> data(flat.begin() + off, flat.begin() + off + m.size);
-    off += m.size;
+    if (sd->Find(m.name) != nullptr) {
+      return SetError(error, "duplicate entry '" + m.name + "'");
+    }
+    std::vector<float> data;
+    if (!c->GetFloats(&data, m.size)) {
+      return SetError(error, "truncated parameter arena");
+    }
     std::vector<int> shape = m.shape.empty() ? std::vector<int>{1} : m.shape;
     sd->Add(m.name, Tensor::FromVector(shape, data), m.is_buffer);
   }

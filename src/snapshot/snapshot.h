@@ -13,10 +13,11 @@
 ///
 /// A snapshot file is a fixed header (magic "RNTRSNAP", format version,
 /// endianness tag) followed by typed sections. The mandatory state-dict
-/// section stores the named-parameter table and the flattened parameter
-/// arena (every tensor concatenated, one contiguous read/write); optional
-/// sections carry the trainer state (epoch counters + the Adam moment
-/// arenas, for checkpoint/resume) and a model-name meta tag. Nothing derived
+/// section stores the named-parameter table and the flat arena (every
+/// entry's floats back to back in table order, written from and read into
+/// the tensors directly, with no intermediate buffer); optional sections
+/// carry the trainer state (epoch counters + the Adam moment arenas, for
+/// checkpoint/resume) and a model-name meta tag. Nothing derived
 /// from the weights is stored: a loaded model recomputes it, so it answers
 /// exactly like the weights it was given.
 ///

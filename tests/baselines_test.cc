@@ -112,7 +112,7 @@ TEST_F(BaselinesFixture, LearnedMethodsHaveFiniteLossAndGradients) {
     ASSERT_TRUE(loss.defined()) << key;
     EXPECT_TRUE(std::isfinite(loss.item())) << key;
     loss.Backward();
-    auto params = model->Parameters();
+    auto params = LearnableTensors(model->StateDict());
     double norm = 0;
     for (auto& p : params) {
       for (float g : p.grad()) norm += std::abs(g);

@@ -30,9 +30,9 @@ TEST(LinearTest, ShapesAndBias) {
   Tensor y = lin.Forward(x);
   EXPECT_EQ(y.dim(0), 5);
   EXPECT_EQ(y.dim(1), 3);
-  EXPECT_EQ(lin.ParameterCount(), 4 * 3 + 3);
+  EXPECT_EQ(lin.StateDict().ScalarCount(), 4 * 3 + 3);
   Linear nb(4, 3, /*bias=*/false);
-  EXPECT_EQ(nb.ParameterCount(), 12);
+  EXPECT_EQ(nb.StateDict().ScalarCount(), 12);
 }
 
 TEST(LinearTest, VectorInputStaysRankOne) {
@@ -670,16 +670,18 @@ struct RandomGraphBatch {
 // u_i + v_j, the -1e9 connectivity mask, a row softmax and a dense product.
 Tensor DenseGatReference(GatLayer& gat, int heads, const Tensor& h,
                          const Tensor& mask) {
-  std::map<std::string, Tensor> p;
-  for (auto& [name, t] : gat.NamedParameters()) p[name] = t;
+  const StateDict sd = gat.StateDict();
+  const auto p = [&sd](const std::string& name) {
+    return sd.Find(name)->tensor;
+  };
   const int n = h.dim(0);
   std::vector<Tensor> outs;
   for (int k = 0; k < heads; ++k) {
     const std::string sfx = "_h" + std::to_string(k);
-    Tensor hw = Matmul(h, p.at("w" + sfx));
-    Tensor ha = Matmul(h, p.at("w_att" + sfx));
-    Tensor u = Matmul(ha, p.at("a_src" + sfx));                  // (n, 1)
-    Tensor v = Reshape(Matmul(ha, p.at("a_dst" + sfx)), {n});  // row
+    Tensor hw = Matmul(h, p("w" + sfx));
+    Tensor ha = Matmul(h, p("w_att" + sfx));
+    Tensor u = Matmul(ha, p("a_src" + sfx));                  // (n, 1)
+    Tensor v = Reshape(Matmul(ha, p("a_dst" + sfx)), {n});  // row
     Tensor scores = Add(Add(Tensor::Zeros({n, n}), u), v);
     Tensor attn = SoftmaxRows(Add(LeakyRelu(scores, 0.2f), mask));
     outs.push_back(LeakyRelu(Matmul(attn, hw), 0.2f));
@@ -780,30 +782,10 @@ TEST(GcnGinLayerTest, PropagateOverTheirEdgeWeights) {
   EXPECT_DEATH(gcn.Forward(h, gin_graph), "kGcnNorm");
 }
 
-TEST(ModuleTest, NamedParametersHaveDottedPaths) {
-  Gru gru(2, 3);
-  auto named = gru.NamedParameters();
-  ASSERT_FALSE(named.empty());
-  EXPECT_EQ(named[0].first.rfind("cell.", 0), 0);
-}
-
 TEST(ModuleTest, SetTrainingRecurses) {
   TransformerEncoderLayer layer(4, 1, 8);
   layer.SetTraining(false);
   EXPECT_FALSE(layer.training());
-}
-
-TEST(OptimTest, SgdStepsDownhill) {
-  Tensor w = Tensor::FromVector({2}, {5.0f, -3.0f}, true);
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 50; ++i) {
-    opt.ZeroGrad();
-    Tensor loss = MeanAll(Square(w));
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_LT(std::abs(w.at(0)), 0.1f);
-  EXPECT_LT(std::abs(w.at(1)), 0.1f);
 }
 
 TEST(OptimTest, AdamFitsLinearRegression) {

@@ -13,7 +13,6 @@
 #include "src/core/rntrajrec.h"
 #include "src/core/trainer.h"
 #include "src/fleet/wire.h"
-#include "src/nn/arena.h"
 #include "src/nn/linear.h"
 #include "src/nn/module.h"
 #include "src/nn/norm.h"
@@ -106,104 +105,6 @@ TEST(StateDictTest, LearnableTensorsSkipsBuffers) {
   // scale + lin.weight + lin.bias + norm.gamma + norm.beta.
   EXPECT_EQ(learnable.size(), 5u);
   EXPECT_EQ(net.Parameters().size(), learnable.size());
-}
-
-TEST(StateDictTest, LoadStateDictCopiesValuesAndPreservesIdentity) {
-  SeedGlobalRng(3);
-  TinyNet src, dst;
-  FillSequential(src.StateDict(), 10.0f);
-  // A handle taken before the load must observe the new values afterwards
-  // (values are copied into the existing impls, so optimizer handles built
-  // from the old dict stay live).
-  Tensor held = dst.scale_;
-  LoadReport report = dst.LoadStateDict(src.StateDict());
-  EXPECT_TRUE(report.Clean()) << report.ToString();
-  rntraj::StateDict a = src.StateDict(), b = dst.StateDict();
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].tensor.data(), b[i].tensor.data()) << a[i].name;
-  }
-  EXPECT_EQ(held.data(), src.scale_.data());
-}
-
-TEST(StateDictTest, LoadStateDictReportsMissingAndUnexpected) {
-  SeedGlobalRng(4);
-  TinyNet net;
-  rntraj::StateDict partial;
-  partial.Add("scale", Tensor::Full({2}, 5.0f));
-  partial.Add("bogus.weight", Tensor::Zeros({3}));
-  LoadReport report = net.LoadStateDict(partial);
-  ASSERT_EQ(report.unexpected.size(), 1u);
-  EXPECT_EQ(report.unexpected[0], "bogus.weight");
-  EXPECT_EQ(report.missing.size(), net.StateDict().size() - 1);
-  EXPECT_FLOAT_EQ(net.scale_.data()[0], 5.0f);
-  EXPECT_NE(report.ToString().find("bogus.weight"), std::string::npos);
-}
-
-TEST(StateDictTest, LoadStateDictShapeMismatchAborts) {
-  SeedGlobalRng(5);
-  TinyNet net;
-  rntraj::StateDict bad;
-  bad.Add("scale", Tensor::Zeros({3}));  // net's scale is {2}
-  EXPECT_DEATH(net.LoadStateDict(bad), "shape mismatch");
-}
-
-// ---------------------------------------------------------------------------
-// Parameter arena
-
-TEST(ArenaTest, LayoutMatchesDictAndRoundTrips) {
-  SeedGlobalRng(6);
-  TinyNet net;
-  rntraj::StateDict sd = net.StateDict();
-  ParameterArena arena(sd);
-  EXPECT_EQ(arena.size(), static_cast<size_t>(sd.ScalarCount()));
-  ASSERT_EQ(arena.views().size(), sd.size());
-  // Views tile the buffer contiguously in dict order.
-  size_t off = 0;
-  for (size_t i = 0; i < sd.size(); ++i) {
-    EXPECT_EQ(arena.views()[i].name, sd[i].name);
-    EXPECT_EQ(arena.views()[i].offset, off);
-    off += arena.views()[i].size;
-  }
-  // Gather picked up current values.
-  const float* w = arena.ViewOf("lin.weight");
-  ASSERT_NE(w, nullptr);
-  EXPECT_EQ(w[0], net.lin_.Parameters()[0].data()[0]);
-  // Scatter writes back into the module's tensors.
-  FillSequential(sd, 100.0f);
-  arena.ScatterTo(sd);
-  EXPECT_NE(net.scale_.data()[0], 100.0f + 0.25f);  // scatter restored old
-  arena.GatherFrom(sd);
-  EXPECT_EQ(arena.ViewOf("scale")[0], net.scale_.data()[0]);
-}
-
-TEST(ArenaTest, ViewWritesAreWriteThrough) {
-  SeedGlobalRng(7);
-  TinyNet net;
-  rntraj::StateDict sd = net.StateDict();
-  ParameterArena arena(sd);
-  float* scale = arena.ViewOf("scale");
-  ASSERT_NE(scale, nullptr);
-  scale[0] = 42.0f;
-  scale[1] = -7.0f;
-  // The write landed in the flat buffer the snapshot writer serialises...
-  const ArenaView* v = arena.Find("scale");
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(arena.flat()[v->offset], 42.0f);
-  EXPECT_EQ(arena.flat()[v->offset + 1], -7.0f);
-  // ...and reaches the module only through an explicit scatter.
-  EXPECT_NE(net.scale_.data()[0], 42.0f);
-  arena.ScatterTo(sd);
-  EXPECT_EQ(net.scale_.data()[0], 42.0f);
-  EXPECT_EQ(net.scale_.data()[1], -7.0f);
-}
-
-TEST(ArenaTest, ForeignLayoutAborts) {
-  SeedGlobalRng(8);
-  TinyNet net;
-  ParameterArena arena(net.StateDict());
-  rntraj::StateDict other;
-  other.Add("something", Tensor::Zeros({4}));
-  EXPECT_DEATH(arena.GatherFrom(other), "ParameterArena");
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +269,25 @@ TEST(SnapshotTest, RejectsWrongMagicVersionEndianAndTruncation) {
   }
 }
 
+TEST(SnapshotTest, DuplicateEntryNameIsGraceful) {
+  // Two table entries under one name: a diagnostic, not the abort a
+  // duplicate StateDict::Add raises.
+  snapshot::Snapshot snap;
+  snap.state.Add("w1", Tensor::Full({2}, 1.0f));
+  snap.state.Add("w2", Tensor::Full({2}, 2.0f));
+  const std::string path = TempPath("snap_duplicate.bin");
+  std::string err;
+  ASSERT_TRUE(snapshot::WriteSnapshot(path, snap, &err)) << err;
+  std::vector<char> bytes = ReadFileBytes(path);
+  const size_t at = std::string(bytes.begin(), bytes.end()).find("w2");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 1] = '1';
+  WriteFileBytes(path, bytes);
+  snapshot::Snapshot out;
+  EXPECT_FALSE(snapshot::ReadSnapshot(path, &out, &err));
+  EXPECT_NE(err.find("duplicate entry 'w1'"), std::string::npos) << err;
+}
+
 TEST(SnapshotTest, ApplyStateDictIsStrictAndAtomic) {
   SeedGlobalRng(12);
   TinyNet net;
@@ -402,19 +322,27 @@ TEST(SnapshotTest, ApplyStateDictIsStrictAndAtomic) {
     EXPECT_FALSE(snapshot::ApplyStateDict(own, extra, &err));
     EXPECT_NE(err.find("stowaway"), std::string::npos) << err;
   }
-  {  // Exact match: applied.
+  {  // Exact match: applied, in place. A handle taken before the apply sees
+     // the loaded values: values are copied into the existing tensors, so
+     // an optimiser built from the old dict (trainer resume) stays live.
     SeedGlobalRng(13);
     TinyNet donor;
     FillSequential(donor.StateDict(), 50.0f);
+    Tensor held = net.lin_.weight();
     EXPECT_TRUE(snapshot::ApplyStateDict(own, donor.StateDict(), &err)) << err;
     EXPECT_EQ(net.scale_.data(), donor.scale_.data());
+    rntraj::StateDict got = net.StateDict(), want = donor.StateDict();
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].tensor.data(), want[i].tensor.data()) << got[i].name;
+    }
+    EXPECT_EQ(held.data(), donor.lin_.weight().data());
   }
 }
 
 TEST(SnapshotTest, AdamImportRejectsForeignLayout) {
   SeedGlobalRng(14);
   TinyNet net;
-  Adam opt(net.StateDict(), 1e-2f);
+  Adam opt(LearnableTensors(net.StateDict()), 1e-2f);
   Adam::State s = opt.ExportState();
   s.m.push_back(0.0f);  // wrong arena size
   std::string err;
